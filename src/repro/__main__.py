@@ -449,9 +449,9 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 1
     except (KeyboardInterrupt, _Terminated) as exc:
         # Tear the workers down *now* — terminate, not close: close
-        # would first drain everything already queued.  Entry files are
-        # written atomically and manifest appends are whole lines, so
-        # the cache is consistent mid-kill and --resume completes the
+        # would first drain everything already queued.  Cache commits
+        # hold SIGINT/SIGTERM, so this lands between commits: every
+        # entry file on disk is journaled, and --resume completes the
         # campaign from exactly the points that never resolved.
         print(
             "sweep interrupted: terminating workers; rerun with --resume "
@@ -494,7 +494,7 @@ def _cmd_cache(argv: list[str]) -> int:
     )
     parser.add_argument(
         "action", nargs="?", default="info",
-        choices=("info", "clear", "rebuild", "compact", "migrate"),
+        choices=("info", "clear", "rebuild", "compact"),
     )
     parser.add_argument("--cache-dir", default=None, metavar="DIR")
     try:
@@ -514,18 +514,6 @@ def _cmd_cache(argv: list[str]) -> int:
                 if child.is_dir():
                     total += len(cache.rebuild_manifest(child.name))
         print(f"rebuilt manifests for {total} entries in {cache.root}")
-        return 0
-    if args.action == "migrate":
-        moved = cache.migrate()
-        if moved:
-            for name, count in sorted(moved.items()):
-                print(f"  {name}: {count} entr"
-                      f"{'y' if count == 1 else 'ies'} moved into shards")
-        total = sum(moved.values())
-        print(
-            f"migrated {total} legacy flat entr"
-            f"{'y' if total == 1 else 'ies'} in {cache.root}"
-        )
         return 0
     if args.action == "compact":
         dropped = 0

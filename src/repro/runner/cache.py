@@ -17,15 +17,6 @@ and human-readable.  (Entries may contain ``NaN`` tokens — Python's
 JSON dialect — where an experiment reports a missing paper value, so
 strict-JSON consumers need ``parse_constant``.)
 
-**Legacy flat layouts stay readable.**  Sweeps written before sharding
-kept ``<sweep>/<key>.json`` files indexed by a single
-``<sweep>/MANIFEST.jsonl``: reads fall through to the flat location,
-index reads merge the legacy fold under the shard folds (the shard
-layer wins per key), and ``python -m repro cache migrate`` moves a
-flat sweep into shards wholesale — entry files via atomic renames,
-manifest records (including quarantines and batch stamps) re-homed to
-their shards — after which the legacy manifest is retired.
-
 The manifests are the cache's index: ``cache info``
 (:meth:`ResultCache.stats`) and sweep resume
 (:meth:`ResultCache.manifest_keys`) fold the journals instead of
@@ -49,12 +40,16 @@ A later successful ``put`` of the same key clears its quarantine
 record (the fold is last-op-wins), which is exactly what a
 ``--retry-quarantined`` run does when the point finally computes.
 
-**Bulk I/O.**  :meth:`ResultCache.put_many` stores a resolved batch —
-one atomic entry write per point, then a *single* ``O_APPEND`` write
-and a *single* ``fsync`` per touched shard manifest, instead of one
-append per point; :meth:`ResultCache.get_many` is the bulk read.  A
-256-point vectorized batch therefore costs at most a handful of
-manifest syncs however it hashes.
+**One commit path.**  :meth:`ResultCache.put_many` is the only routine
+that writes entry files and journals them; :meth:`ResultCache.put` is
+``put_many`` of one.  A commit writes each entry atomically, then
+issues a *single* ``O_APPEND`` write and a *single* ``fsync`` per
+touched shard manifest, so a 256-point batch costs at most a handful
+of manifest syncs however it hashes, and a scalar put costs one.  On
+the main thread the commit holds SIGINT/SIGTERM and re-delivers them
+once every written entry has its ``put`` record
+(:func:`_signals_held`).  :meth:`ResultCache.get_many` is the bulk
+read.
 
 Robustness rules:
 
@@ -65,15 +60,12 @@ Robustness rules:
   cache heals itself on the next run;
 * manifest appends are single ``O_APPEND`` writes, safe under
   concurrent writers;
-* a missing, torn, or corrupt manifest — or a pre-manifest legacy
-  sweep directory — is rebuilt from the entry files themselves
-  (:meth:`ResultCache.rebuild_manifest`), shard by shard: the entry
-  files are always the ground truth, the manifests only an index over
-  them.  The manifests being advisory is also what makes them
-  resume-safe (a stale listing is re-validated by :meth:`get` before
-  anything trusts it) and what makes ``cache migrate`` crash-safe
-  (a killed migration leaves every entry file in exactly one readable
-  location; re-running completes it);
+* a missing, torn, or corrupt manifest is rebuilt from the entry
+  files themselves (:meth:`ResultCache.rebuild_manifest`), shard by
+  shard: the entry files are always the ground truth, the manifests
+  only an index over them.  The manifests being advisory is also what
+  makes them resume-safe (a stale listing is re-validated by
+  :meth:`get` before anything trusts it);
 * a journal dominated by dead history (overwritten puts, ``del``
   records, cleared quarantines) is **compacted** down to its fold —
   explicitly via ``python -m repro cache compact``
@@ -89,8 +81,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -136,6 +131,52 @@ def shard_prefix(key: str) -> str:
     return key[:2] if len(key) >= 2 else (key + "__")[:2]
 
 
+def _line(record: Mapping[str, Any]) -> str:
+    """One journal line: compact JSON plus the newline."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+@contextmanager
+def _signals_held() -> Iterator[None]:
+    """Defer SIGINT/SIGTERM to the end of the block (main thread only).
+
+    The block runs with handlers that only record the signal; on exit
+    the previous handlers come back and every recorded signal is
+    re-delivered with :func:`signal.raise_signal`, so a raising handler
+    (the CLI's, or ``KeyboardInterrupt``) fires at the block boundary
+    instead of between an entry write and its journal record.  Off the
+    main thread — where handlers cannot be installed and Python never
+    runs them anyway — the block runs unchanged, as it does when a
+    handler was installed outside Python and so cannot be restored.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    prev_int = signal.getsignal(signal.SIGINT)
+    prev_term = signal.getsignal(signal.SIGTERM)
+    if prev_int is None or prev_term is None:
+        yield
+        return
+    caught: List[int] = []
+
+    def record(signum, frame):  # noqa: ARG001
+        caught.append(signum)
+
+    signal.signal(signal.SIGINT, record)
+    try:
+        signal.signal(signal.SIGTERM, record)
+        yield
+    finally:
+        # Nested so that a signal handled by the first restored handler
+        # cannot skip restoring the second.
+        try:
+            signal.signal(signal.SIGINT, prev_int)
+        finally:
+            signal.signal(signal.SIGTERM, prev_term)
+        for signum in caught:
+            signal.raise_signal(signum)
+
+
 def _fold_lines(text: str) -> _Fold | None:
     """Fold journal text into an index, ``None`` on any unparsable line
     (torn concurrent write, manual edit) — the caller rebuilds from the
@@ -171,21 +212,17 @@ def _fold_lines(text: str) -> _Fold | None:
 
 
 def _fold_records(fold: _Fold) -> str:
-    """Serialise a fold back to minimal journal text (compaction,
-    rebuild, migration all converge here so the formats agree)."""
+    """Serialise a fold back to minimal journal text (compaction and
+    rebuild both converge here so the formats agree)."""
     live, quar, _, batch_keys = fold
     return "".join(
-        json.dumps(
+        _line(
             {"op": "put", "key": key, "bytes": size, "batch": True}
             if key in batch_keys
-            else {"op": "put", "key": key, "bytes": size},
-            separators=(",", ":"),
-        ) + "\n"
+            else {"op": "put", "key": key, "bytes": size}
+        )
         for key, size in sorted(live.items())
-    ) + "".join(
-        json.dumps(record, separators=(",", ":")) + "\n"
-        for _, record in sorted(quar.items())
-    )
+    ) + "".join(_line(record) for _, record in sorted(quar.items()))
 
 
 @dataclass(frozen=True)
@@ -199,8 +236,8 @@ class CacheStats:
     true`` manifest stamp — see :meth:`ResultCache.put`), with
     ``batch_per_sweep`` the per-namespace breakdown; everything else
     was computed by the scalar per-point path.  ``shards_per_sweep``
-    reports each namespace's shard-directory count (0 for a purely
-    legacy flat sweep) so fan-out is visible from ``cache info``.
+    reports each namespace's shard-directory count so fan-out is
+    visible from ``cache info``.
     """
 
     entries: int
@@ -222,54 +259,14 @@ class ResultCache:
         # unchanged journal cost one stat (invalidated explicitly by
         # every write path as well, belt and braces).
         self._fold_memo: Dict[str, Tuple[Tuple[int, int], _Fold]] = {}
-        # sweep -> whether the flat legacy layer may hold entries; None
-        # until first probed.  Lets the hot put/get paths skip flat-file
-        # checks entirely for born-sharded sweeps.
-        self._flat_possible: Dict[str, bool] = {}
 
     def path_for(self, sweep: str, key: str) -> Path:
-        """Canonical (sharded) entry location for ``key`` in ``sweep``."""
+        """Entry location for ``key`` in ``sweep``."""
         return self.root / sweep / shard_prefix(key) / f"{key}.json"
-
-    def flat_path_for(self, sweep: str, key: str) -> Path:
-        """The pre-sharding flat location, still honoured by reads."""
-        return self.root / sweep / f"{key}.json"
-
-    def manifest_path(self, sweep: str) -> Path:
-        """The sweep's *legacy* (flat-layout) journal file."""
-        return self.root / sweep / _MANIFEST
 
     def shard_manifest_path(self, sweep: str, prefix: str) -> Path:
         """The journal of one shard directory."""
         return self.root / sweep / prefix / _MANIFEST
-
-    # -- layer probing ---------------------------------------------------
-
-    def _has_flat_layer(self, sweep: str) -> bool:
-        """Whether the sweep may hold flat-layout entries (memoized).
-
-        True when the legacy manifest exists or any flat ``*.json``
-        does.  A ``False`` verdict is sticky for this handle's lifetime
-        — new writes are always sharded, so the flat layer only ever
-        shrinks (``migrate``/``clear`` reset it explicitly).
-        """
-        cached = self._flat_possible.get(sweep)
-        if cached is not None:
-            return cached
-        target = self.root / sweep
-        present = False
-        try:
-            if self.manifest_path(sweep).exists():
-                present = True
-            else:
-                present = any(
-                    child.suffix == ".json"
-                    for child in target.iterdir()
-                )
-        except OSError:
-            present = False
-        self._flat_possible[sweep] = present
-        return present
 
     def _shard_dirs(self, sweep: str) -> List[Path]:
         """The sweep's shard directories (two-character children)."""
@@ -287,56 +284,32 @@ class ResultCache:
     def get(self, sweep: str, key: str) -> Tuple[Any, bool]:
         """Look up ``key``; returns ``(value, hit)``.
 
-        Reads the sharded location first, then the legacy flat one.  A
-        malformed entry (truncated write, manual tampering, format
+        A malformed entry (truncated write, manual tampering, format
         drift) is deleted and reported as a miss — never an exception.
         """
-        prefix = shard_prefix(key)
-        path = self.root / sweep / prefix / f"{key}.json"
-        flat = False
+        path = self.path_for(sweep, key)
         try:
-            text = path.read_text()
-        except FileNotFoundError:
-            if not self._has_flat_layer(sweep):
-                return None, False
-            path = self.root / sweep / f"{key}.json"
-            flat = True
-            try:
-                text = path.read_text()
-            except FileNotFoundError:
-                return None, False
-            except OSError:
-                return self._heal_entry(sweep, key, path, flat)
-        except OSError:
-            return self._heal_entry(sweep, key, path, flat)
-        try:
-            entry = json.loads(text)
+            entry = json.loads(path.read_text())
             if entry["format"] != _FORMAT or entry["key"] != key:
                 raise ValueError("stale or mismatched cache entry")
             return entry["result"], True
-        except (ValueError, KeyError, TypeError):
-            return self._heal_entry(sweep, key, path, flat)
+        except FileNotFoundError:
+            return None, False
+        except (OSError, ValueError, KeyError, TypeError):
+            return self._heal_entry(sweep, key, path)
 
     def _heal_entry(
-        self, sweep: str, key: str, path: Path, flat: bool
+        self, sweep: str, key: str, path: Path
     ) -> Tuple[Any, bool]:
-        """Delete a bad entry and journal the del in its own layer."""
+        """Delete a bad entry and journal the del in its shard."""
         try:
             path.unlink(missing_ok=True)
             # Record the heal — but never *create* a manifest out of a
-            # lone del record: an index-less directory must keep looking
+            # lone del record: an index-less shard must keep looking
             # index-less so the next read rebuilds it in full.
-            manifest = (
-                self.manifest_path(sweep)
-                if flat
-                else self.shard_manifest_path(sweep, shard_prefix(key))
-            )
+            manifest = self.shard_manifest_path(sweep, shard_prefix(key))
             if manifest.exists():
-                self._append_lines(
-                    manifest,
-                    json.dumps({"op": "del", "key": key},
-                               separators=(",", ":")) + "\n",
-                )
+                self._append_lines(manifest, _line({"op": "del", "key": key}))
         except OSError:
             pass  # e.g. a read-only shared cache: miss, don't crash
         return None, False
@@ -369,31 +342,6 @@ class ResultCache:
             Path(tmp).unlink(missing_ok=True)
             raise
 
-    def _retire_flat_duplicate(self, sweep: str, key: str) -> None:
-        """Drop a flat-layout copy superseded by a sharded write.
-
-        The shard layer wins every merged fold, so the flat file is
-        dead weight; a ``del`` record keeps the legacy journal's fold
-        truthful without a rebuild.
-        """
-        if not self._has_flat_layer(sweep):
-            return
-        flat = self.root / sweep / f"{key}.json"
-        try:
-            flat.unlink()
-        except OSError:
-            return  # absent (the common case) or unwritable
-        try:
-            manifest = self.manifest_path(sweep)
-            if manifest.exists():
-                self._append_lines(
-                    manifest,
-                    json.dumps({"op": "del", "key": key},
-                               separators=(",", ":")) + "\n",
-                )
-        except OSError:
-            pass
-
     def put(
         self,
         sweep: str,
@@ -403,6 +351,9 @@ class ResultCache:
         batch: bool = False,
     ) -> None:
         """Store ``value`` atomically; raises ``TypeError`` if not JSON-able.
+
+        A commit of one entry through :meth:`put_many`, with the same
+        durability: one journal append and one ``fsync``.
 
         ``batch`` marks the value as computed by the vectorized batch
         path (:mod:`repro.engine.batch` via a sweep's ``batch_fn``): the
@@ -415,23 +366,7 @@ class ResultCache:
         the index from entry *stats* without opening files, so a rebuilt
         journal reports every entry as scalar.)
         """
-        data = self._entry_blob(sweep, key, params, value, batch)
-        prefix = shard_prefix(key)
-        path = self.root / sweep / prefix / f"{key}.json"
-        self._write_entry(path, data)
-        self._retire_flat_duplicate(sweep, key)
-        try:
-            if self._index_preexisting_shard(sweep, prefix, key):
-                return
-            put_record: Dict[str, Any] = {
-                "op": "put", "key": key, "bytes": len(data),
-                "created": time.time(),
-            }
-            if batch:
-                put_record["batch"] = True
-            self._append_manifest(sweep, put_record, prefix)
-        except OSError:
-            pass  # entry files are the ground truth; the index can wait
+        self.put_many(sweep, [(key, params, value)], batch)
 
     def put_many(
         self,
@@ -439,53 +374,54 @@ class ResultCache:
         entries: Iterable[Tuple[str, Mapping[str, Any], Any]],
         batch: bool = False,
     ) -> int:
-        """Store ``(key, params, value)`` triples with bulk index I/O.
+        """Commit ``(key, params, value)`` triples; returns the count stored.
 
-        Every entry file is still written atomically on its own, but
-        the journal cost collapses: the put records are grouped by
+        The cache's only write path.  Every entry file is written
+        atomically on its own, then the put records are grouped by
         shard and each touched shard manifest receives **one**
-        ``O_APPEND`` write followed by **one** ``fsync`` — a resolved
-        256-point batch costs a handful of syncs, not 256.  Returns the
-        number of entries stored.
+        ``O_APPEND`` write followed by **one** ``fsync``.  The journal
+        step runs even when an entry write fails part-way (a value that
+        is not JSON-able, a full disk), so every entry file a commit
+        leaves on disk has its ``put`` record; on the main thread
+        SIGINT/SIGTERM are held for the whole commit
+        (:func:`_signals_held`) and re-delivered after it.
         """
         by_shard: Dict[str, List[str]] = {}
-        pending: Dict[str, set] = {}
-        stored = 0
-        for key, params, value in entries:
-            data = self._entry_blob(sweep, key, params, value, batch)
-            prefix = shard_prefix(key)
-            path = self.root / sweep / prefix / f"{key}.json"
-            self._write_entry(path, data)
-            self._retire_flat_duplicate(sweep, key)
-            record: Dict[str, Any] = {
-                "op": "put", "key": key, "bytes": len(data),
-                "created": time.time(),
-            }
-            if batch:
-                record["batch"] = True
-            mine = pending.setdefault(prefix, set())
+        written: Set[str] = set()
+        with _signals_held():
             try:
-                # A rebuild may index this entry from its file (without
-                # the batch stamp); the queued record still appends and
-                # wins under last-op-fold, so queue unconditionally.
-                self._index_preexisting_shard(sweep, prefix, key, mine)
-            except OSError:
-                pass
-            by_shard.setdefault(prefix, []).append(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-            mine.add(key)
-            stored += 1
-        for prefix, lines in by_shard.items():
-            try:
-                self._append_lines(
-                    self.shard_manifest_path(sweep, prefix),
-                    "".join(lines),
-                    fsync=True,
-                )
-            except OSError:
-                pass  # entry files are the ground truth
-        return stored
+                for key, params, value in entries:
+                    data = self._entry_blob(sweep, key, params, value, batch)
+                    prefix = shard_prefix(key)
+                    self._write_entry(self.path_for(sweep, key), data)
+                    record: Dict[str, Any] = {
+                        "op": "put", "key": key, "bytes": len(data),
+                        "created": time.time(),
+                    }
+                    if batch:
+                        record["batch"] = True
+                    try:
+                        # A rebuild may index this entry from its file
+                        # (without the batch stamp); the queued record
+                        # still appends and wins under last-op-fold.
+                        self._index_preexisting_shard(
+                            sweep, prefix, key, written
+                        )
+                    except OSError:
+                        pass
+                    by_shard.setdefault(prefix, []).append(_line(record))
+                    written.add(key)
+            finally:
+                for prefix, lines in by_shard.items():
+                    try:
+                        self._append_lines(
+                            self.shard_manifest_path(sweep, prefix),
+                            "".join(lines),
+                            fsync=True,
+                        )
+                    except OSError:
+                        pass  # entry files are the ground truth
+        return len(written)
 
     def get_many(self, sweep: str, keys: Iterable[str]) -> Dict[str, Any]:
         """Bulk lookup; returns ``{key: value}`` for the hits only.
@@ -502,30 +438,26 @@ class ResultCache:
         return hits
 
     def _index_preexisting_shard(
-        self, sweep: str, prefix: str, key: str, ignore: Container[str] = ()
-    ) -> bool:
+        self, sweep: str, prefix: str, key: str, ignore: Container[str]
+    ) -> None:
         """Heal an index-less shard that already holds *other* entries.
 
-        First write into a shard directory whose manifest vanished (or
-        a crashed migration's half-moved shard): rebuild the shard's
-        journal from its files — which indexes the entry just written
-        too, so the caller must skip its own append.  Returns True when
-        that happened.  ``put_many`` passes the keys it has already
-        written this call as ``ignore`` — its own not-yet-journaled
-        entries must not masquerade as a pre-existing index-less shard.
+        First write into a shard directory whose manifest vanished:
+        rebuild the shard's journal from its files, which indexes the
+        entry just written too.  ``put_many`` passes the keys it has
+        already written this call as ``ignore`` — its own
+        not-yet-journaled entries must not masquerade as a pre-existing
+        index-less shard.
         """
         if self.shard_manifest_path(sweep, prefix).exists():
-            return False
-        shard_dir = self.root / sweep / prefix
+            return
         if any(
             p.suffix == ".json"
             and p.name != f"{key}.json"
             and p.stem not in ignore
-            for p in shard_dir.iterdir()
+            for p in (self.root / sweep / prefix).iterdir()
         ):
             self._rebuild_shard(sweep, prefix)
-            return True
-        return False
 
     # -- manifest -------------------------------------------------------
 
@@ -541,20 +473,6 @@ class ResultCache:
         finally:
             os.close(fd)
         self._fold_memo.pop(str(path), None)
-
-    def _append_manifest(
-        self, sweep: str, record: Mapping[str, Any], prefix: str | None = None
-    ) -> None:
-        """Append one journal record — to a shard's manifest when
-        ``prefix`` is given, to the legacy flat manifest otherwise."""
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
-        self._append_lines(
-            path, json.dumps(record, separators=(",", ":")) + "\n"
-        )
 
     def _fold_file(self, path: Path) -> _Fold | None:
         """Memoized fold of one journal file.
@@ -585,30 +503,18 @@ class ResultCache:
             self._fold_memo[spath] = (sig, fold)
         return fold
 
-    def _fold_layer(
-        self, sweep: str, prefix: str | None, heal: bool, compact: bool
-    ) -> _Fold:
-        """One layer's fold — legacy flat (``prefix=None``) or a shard.
+    def _fold_shard(self, sweep: str, prefix: str) -> _Fold:
+        """One shard's fold.
 
-        A missing/torn journal is rebuilt from that layer's entry files
-        when ``heal``; ``compact`` additionally folds away journals
-        dominated by dead history.  Always returns a (possibly empty)
-        fold — on a read-only store the derived index is served without
-        being persisted.
+        A missing/torn journal is rebuilt from the shard's entry files,
+        and a journal dominated by dead history is compacted.  Always
+        returns a (possibly empty) fold — on a read-only store the
+        derived index is served without being persisted.
         """
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
+        path = self.shard_manifest_path(sweep, prefix)
         fold = self._fold_file(path)
         if fold is None:
-            if not heal:
-                return {}, {}, 0, set()
-            if prefix is not None:
-                live = self._rebuild_shard(sweep, prefix)
-            else:
-                live = self._rebuild_flat(sweep)
+            live = self._rebuild_shard(sweep, prefix)
             fold = self._fold_file(path)
             if fold is None:
                 # Could not persist (read-only store): serve the
@@ -616,43 +522,26 @@ class ResultCache:
                 # with the unreadable journal.
                 return live, {}, len(live), set()
             return fold
-        if compact and self._wants_compaction(fold):
-            self._compact_layer(sweep, prefix)
+        if self._wants_compaction(fold):
+            self._compact_shard(sweep, prefix)
             return self._fold_file(path) or fold
         return fold
 
-    def _folded_sweep(
-        self, sweep: str, heal: bool = True, compact: bool = False
-    ) -> _Fold:
-        """The sweep's merged index: legacy fold under the shard folds.
+    def _folded_sweep(self, sweep: str) -> _Fold:
+        """The sweep's index: the union of its shard folds.
 
-        The shard layer wins per key (a sharded rewrite retires the
-        flat copy), quarantines lose to a live entry in any layer, and
         ``records`` sums every journal line so callers can see dead
         weight.  Cost is O(shards-touched): one directory listing plus
         one (memoized) fold per journal present.
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return {}, {}, 0, set()
         live: Dict[str, int] = {}
         quar: Dict[str, dict] = {}
         batch_keys: Set[str] = set()
         records = 0
-        if self._has_flat_layer(sweep):
-            flive, fquar, frecords, fbatch = self._fold_layer(
-                sweep, None, heal, compact
-            )
-            live.update(flive)
-            quar.update(fquar)
-            batch_keys |= fbatch
-            records += frecords
         for shard in self._shard_dirs(sweep):
-            slive, squar, srecords, sbatch = self._fold_layer(
-                sweep, shard.name, heal, compact
+            slive, squar, srecords, sbatch = self._fold_shard(
+                sweep, shard.name
             )
-            for key in slive:
-                batch_keys.discard(key)  # the shard layer's verdict wins
             live.update(slive)
             quar.update(squar)
             batch_keys |= sbatch
@@ -661,8 +550,8 @@ class ResultCache:
             quar.pop(key, None)  # a live entry outranks any quarantine
         return live, quar, records, batch_keys
 
-    def _rebuild_flat(self, sweep: str) -> Dict[str, int]:
-        """Re-derive the legacy flat journal from the flat entry files.
+    def _rebuild_shard(self, sweep: str, prefix: str) -> Dict[str, int]:
+        """Re-derive one shard's journal from its entry files.
 
         Keys are the entry filenames and sizes come from ``stat``, so
         no entry is opened.  Quarantine records exist *only* in the
@@ -672,23 +561,6 @@ class ResultCache:
         atomically; on a read-only cache the derived index is returned
         without being persisted.
         """
-        target = self.root / sweep
-        live: Dict[str, int] = {}
-        if not target.is_dir():
-            return live
-        for path in target.glob("*.json"):
-            try:
-                live[path.stem] = path.stat().st_size
-            except OSError:
-                continue  # vanished mid-scan
-        self._write_rebuilt(
-            self.manifest_path(sweep), target, live
-        )
-        self._flat_possible.pop(sweep, None)
-        return live
-
-    def _rebuild_shard(self, sweep: str, prefix: str) -> Dict[str, int]:
-        """Re-derive one shard's journal from its entry files."""
         target = self.root / sweep / prefix
         live: Dict[str, int] = {}
         if not target.is_dir():
@@ -698,15 +570,7 @@ class ResultCache:
                 live[path.stem] = path.stat().st_size
             except OSError:
                 continue  # vanished mid-scan
-        self._write_rebuilt(
-            self.shard_manifest_path(sweep, prefix), target, live
-        )
-        return live
-
-    def _write_rebuilt(
-        self, manifest: Path, target: Path, live: Dict[str, int]
-    ) -> None:
-        """Atomically persist a rebuilt journal, salvaging quarantines."""
+        manifest = self.shard_manifest_path(sweep, prefix)
         quar: Dict[str, dict] = {}
         try:
             old = manifest.read_text()
@@ -724,42 +588,39 @@ class ResultCache:
                 quar.pop(key, None)
         for key in live:
             quar.pop(key, None)  # an entry file on disk outranks it
-        lines = _fold_records((live, quar, 0, set()))
+        self._replace_journal(manifest, _fold_records((live, quar, 0, set())))
+        return live
+
+    def _replace_journal(self, path: Path, text: str) -> bool:
+        """Atomically swap a journal's content: temp file + rename, so a
+        crash at any instant leaves either the old or the new journal,
+        never a torn hybrid.  Returns False, persisting nothing, on a
+        read-only store."""
         try:
-            fd, tmp = tempfile.mkstemp(dir=target, suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         except OSError:
-            return  # e.g. a read-only shared cache
+            return False  # e.g. a read-only shared cache
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(lines)
-            os.replace(tmp, manifest)
+                handle.write(text)
+            os.replace(tmp, path)
         except OSError:
             Path(tmp).unlink(missing_ok=True)
+            return False
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
-        self._fold_memo.pop(str(manifest), None)
+        finally:
+            self._fold_memo.pop(str(path), None)
+        return True
 
     def rebuild_manifest(self, sweep: str) -> Dict[str, int]:
-        """Re-derive every journal of ``sweep`` from its entry files.
-
-        The self-healing path, now per layer: the legacy flat journal is
-        rebuilt whenever the flat layer exists, and each shard journal
-        from its own directory.  Returns the merged live index.  A
-        concurrent append racing a rebuild loses at most its own
-        record, which the next ``put`` of that key — or the next
-        rebuild — restores.
+        """Re-derive every shard journal of ``sweep`` from its entry
+        files; returns the live index.  A concurrent append racing a
+        rebuild loses at most its own record, which the next ``put``
+        of that key — or the next rebuild — restores.
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return {}
         live: Dict[str, int] = {}
-        if self._has_flat_layer(sweep) or self.manifest_path(sweep).exists():
-            live.update(self._rebuild_flat(sweep))
-        elif not self._shard_dirs(sweep):
-            # Entry-less, shard-less directory: persist an (empty)
-            # index so the heal is visible, matching the flat era.
-            live.update(self._rebuild_flat(sweep))
         for shard in self._shard_dirs(sweep):
             live.update(self._rebuild_shard(sweep, shard.name))
         return live
@@ -772,7 +633,7 @@ class ResultCache:
         outnumbers its live entries, so a churned sweep's index read
         stays O(shards-touched) no matter how long its history grew.
         """
-        live, _, _, _ = self._folded_sweep(sweep, heal=True, compact=True)
+        live, _, _, _ = self._folded_sweep(sweep)
         return live
 
     @staticmethod
@@ -784,171 +645,39 @@ class ResultCache:
         dead = records - len(live) - len(quar)
         return dead > max(len(live) + len(quar), 4)
 
-    def _compact_layer(self, sweep: str, prefix: str | None) -> int:
-        """Rewrite one journal down to its fold; returns dead records
-        dropped.  Crash-safe: temp file + atomic rename, so a crash at
-        any instant leaves either the full history or the complete fold
-        — never a torn hybrid.  Best-effort on read-only caches."""
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
+    def _compact_shard(self, sweep: str, prefix: str) -> int:
+        """Rewrite one shard journal down to its fold; returns dead
+        records dropped.  Crash-safe (:meth:`_replace_journal`) and
+        best-effort on read-only caches."""
+        path = self.shard_manifest_path(sweep, prefix)
         fold = self._fold_file(path)
         if fold is None:
             return 0
         live, quar, records, _ = fold
         dead = records - len(live) - len(quar)
-        if dead <= 0:
+        if dead <= 0 or not self._replace_journal(path, _fold_records(fold)):
             return 0
-        target = path.parent
-        try:
-            fd, tmp = tempfile.mkstemp(dir=target, suffix=".tmp")
-        except OSError:
-            return 0  # e.g. a read-only shared cache
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(_fold_records(fold))
-            os.replace(tmp, path)
-        except OSError:
-            Path(tmp).unlink(missing_ok=True)
-            return 0
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        self._fold_memo.pop(str(path), None)
         return dead
 
     def compact(self, sweep: str) -> int:
         """Fold dead history away, journal by journal; returns the
         total number of dead records dropped.
 
-        Each layer (the legacy flat journal and every shard journal)
-        is rewritten independently and atomically, so a crash
-        mid-compaction affects at most the one journal being renamed —
-        and that one is either fully old or fully folded (the
+        Each shard journal is rewritten independently and atomically,
+        so a crash mid-compaction affects at most the one journal being
+        renamed — and that one is either fully old or fully folded (the
         torn-compaction recovery guarantee).  Missing or torn journals
-        are healed through :meth:`rebuild_manifest` instead (already
-        minimal).
+        are rebuilt instead (already minimal, so they count no dead
+        records).
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return 0
         dead = 0
-        rebuilt = False
-        if self._has_flat_layer(sweep):
-            if self._fold_file(self.manifest_path(sweep)) is None:
-                self._rebuild_flat(sweep)
-                rebuilt = True
-            else:
-                dead += self._compact_layer(sweep, None)
         for shard in self._shard_dirs(sweep):
-            if self._fold_file(
-                self.shard_manifest_path(sweep, shard.name)
-            ) is None:
+            path = self.shard_manifest_path(sweep, shard.name)
+            if self._fold_file(path) is None:
                 self._rebuild_shard(sweep, shard.name)
-                rebuilt = True
             else:
-                dead += self._compact_layer(sweep, shard.name)
-        del rebuilt  # rebuilds count no dead records, matching the flat era
+                dead += self._compact_shard(sweep, shard.name)
         return dead
-
-    # -- migration ------------------------------------------------------
-
-    def migrate(self, sweep: str | None = None) -> Dict[str, int]:
-        """Move legacy flat sweeps into the sharded layout.
-
-        For each sweep (or just ``sweep``): every flat entry file is
-        renamed into its shard (atomic ``os.replace``), its journal
-        record — including the batch-provenance stamp — is re-homed to
-        the shard manifest, quarantine records follow their key's
-        shard, and the legacy manifest is removed once empty of
-        meaning.  Returns ``{sweep: entries-moved}`` (quarantine-only
-        re-homes count 0 but still retire the journal).
-
-        Crash-safe by the same advisory-index argument as everything
-        else: entry files move one atomic rename at a time, reads
-        consult both layouts, and re-running the migration finishes
-        whatever a crash left behind.  A sweep with no flat layer is a
-        no-op.
-        """
-        if sweep is None:
-            moved: Dict[str, int] = {}
-            if not self.root.is_dir():
-                return moved
-            for child in sorted(self.root.iterdir()):
-                if child.is_dir():
-                    result = self.migrate(child.name)
-                    moved.update(result)
-            return moved
-
-        target = self.root / sweep
-        if not target.is_dir() or not self._has_flat_layer(sweep):
-            return {}
-        # Heal first so the fold below is complete (pre-manifest legacy
-        # directories, torn journals).
-        if self._fold_file(self.manifest_path(sweep)) is None:
-            self._rebuild_flat(sweep)
-        flive, fquar, _, fbatch = self._fold_layer(
-            sweep, None, heal=True, compact=False
-        )
-        by_shard: Dict[str, List[str]] = {}
-        count = 0
-        for path in sorted(target.glob("*.json")):
-            key = path.stem
-            prefix = shard_prefix(key)
-            dest = target / prefix / f"{key}.json"
-            try:
-                if dest.exists():
-                    # A sharded rewrite already superseded this copy.
-                    path.unlink(missing_ok=True)
-                    continue
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue  # vanished mid-walk
-                os.replace(path, dest)
-            except OSError:
-                continue  # unwritable: leave it readable where it is
-            record: Dict[str, Any] = {
-                "op": "put", "key": key,
-                "bytes": flive.get(key, size),
-            }
-            if key in fbatch:
-                record["batch"] = True
-            by_shard.setdefault(prefix, []).append(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-            count += 1
-        for key, record in sorted(fquar.items()):
-            prefix = shard_prefix(key)
-            shard_live = self._fold_layer(
-                sweep, prefix, heal=True, compact=False
-            )[0]
-            if key in shard_live:
-                continue  # a sharded success already cleared it
-            by_shard.setdefault(prefix, []).append(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-        for prefix, lines in by_shard.items():
-            try:
-                shard_dir = target / prefix
-                shard_dir.mkdir(parents=True, exist_ok=True)
-                self._append_lines(
-                    self.shard_manifest_path(sweep, prefix),
-                    "".join(lines),
-                    fsync=True,
-                )
-            except OSError:
-                pass  # entry files are already in place — index heals later
-        try:
-            self.manifest_path(sweep).unlink(missing_ok=True)
-        except OSError:
-            pass
-        self._fold_memo.pop(str(self.manifest_path(sweep)), None)
-        self._flat_possible.pop(sweep, None)
-        return {sweep: count}
 
     # -- quarantine -----------------------------------------------------
 
@@ -972,14 +701,14 @@ class ResultCache:
             if not self.shard_manifest_path(sweep, prefix).exists() and any(
                 p.suffix == ".json" for p in shard_dir.iterdir()
             ):
-                # Index-less shard (crashed migration): index the
-                # entries first so the new journal is a complete fold.
+                # Index-less shard: index the entries first so the new
+                # journal is a complete fold.
                 self._rebuild_shard(sweep, prefix)
-            self._append_manifest(
-                sweep,
-                {"op": "quarantine", "key": key, "params": dict(params),
-                 "error": str(error), "created": time.time()},
-                prefix,
+            self._append_lines(
+                self.shard_manifest_path(sweep, prefix),
+                _line({"op": "quarantine", "key": key,
+                       "params": dict(params), "error": str(error),
+                       "created": time.time()}),
             )
         except OSError:
             pass
@@ -989,9 +718,9 @@ class ResultCache:
 
         Each record carries the offending ``params`` and the final
         ``error`` string.  Keys with a live entry (a later successful
-        put) are never listed — in any layer.
+        put) are never listed.
         """
-        _, quar, _, _ = self._folded_sweep(sweep, heal=True, compact=True)
+        _, quar, _, _ = self._folded_sweep(sweep)
         return quar
 
     def manifest_keys(self, sweep: str) -> Set[str]:
@@ -1007,30 +736,25 @@ class ResultCache:
     # -- aggregate views ------------------------------------------------
 
     def entries(self) -> Iterator[Path]:
-        """All entry files currently on disk, sharded and flat.
+        """All entry files currently on disk.
 
         A snapshot, not a lock: a concurrent sweep or :meth:`clear` may
         remove a listed file before the caller touches it, so consumers
-        must tolerate vanished paths.  (:meth:`stats` no longer walks
-        this — it folds the manifests — but :meth:`clear` and the
-        rebuild path still ground-truth against the files.)
+        must tolerate vanished paths.  (:meth:`stats` does not walk
+        this — it folds the manifests — but :meth:`clear` ground-truths
+        against the files.)
         """
         if not self.root.is_dir():
             return iter(())
-        return (
-            path
-            for pattern in ("*/*.json", "*/*/*.json")
-            for path in self.root.glob(pattern)
-        )
+        return self.root.glob("*/*/*.json")
 
     def stats(self) -> CacheStats:
         """Entry count, total size, and the sweep namespaces present.
 
-        Reads one journal per layer present — never the entry files
-        themselves — so ``cache info`` costs O(shards), not
-        O(entries); with warm fold memos it is O(shards) ``stat``
-        calls.  Layers without a readable journal (legacy caches, torn
-        journals, half-migrated shards) are healed on the way through.
+        Reads one journal per shard — never the entry files themselves
+        — so ``cache info`` costs O(shards), not O(entries); with warm
+        fold memos it is O(shards) ``stat`` calls.  Shards without a
+        readable journal are healed on the way through.
         """
         count = 0
         size = 0
@@ -1044,9 +768,7 @@ class ResultCache:
             for child in sorted(self.root.iterdir()):
                 if not child.is_dir():
                     continue
-                live, quar, _, batch_keys = self._folded_sweep(
-                    child.name, heal=True, compact=True
-                )
+                live, quar, _, batch_keys = self._folded_sweep(child.name)
                 if not live and not quar:
                     continue
                 batch_live = sum(1 for key in batch_keys if key in live)
@@ -1058,9 +780,9 @@ class ResultCache:
                 per_sweep.append((child.name, len(live), len(quar)))
                 if batch_live:
                     batch_per_sweep.append((child.name, batch_live))
-                nshards = len(self._shard_dirs(child.name))
-                if nshards:
-                    shards_per_sweep.append((child.name, nshards))
+                shards_per_sweep.append(
+                    (child.name, len(self._shard_dirs(child.name)))
+                )
         return CacheStats(
             entries=count,
             bytes=size,
@@ -1077,14 +799,14 @@ class ResultCache:
 
         Counting ground-truths against the entry files (not the index):
         ``clear`` is the maintenance path, and the manifests die with
-        their directories anyway.
+        their directories anyway.  Whatever else a sweep directory
+        holds goes with it.
         """
         self._fold_memo.clear()
-        self._flat_possible.clear()
         if sweep is not None:
             target = self.root / sweep
             removed = (
-                len(list(target.rglob("*.json"))) if target.is_dir() else 0
+                len(list(target.glob("*/*.json"))) if target.is_dir() else 0
             )
             shutil.rmtree(target, ignore_errors=True)
             return removed

@@ -133,7 +133,7 @@ class TestCacheCommand:
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        cache.manifest_path("s").write_text("torn{garbage\n")
+        cache.shard_manifest_path("s", "k0").write_text("torn{garbage\n")
         assert cli_main(["cache", "rebuild", "--cache-dir", str(tmp_path)]) == 0
         assert "rebuilt manifests for 3 entries" in capsys.readouterr().out
         assert cache.stats().entries == 3
@@ -166,40 +166,6 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "compacted service journal: 2 record(s) dropped" in out
         assert journal.fold() == {}
-
-    def test_migrate_moves_flat_sweep_into_shards(self, tmp_path, capsys):
-        import os
-
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            cache.put("s", f"{i:02d}abcd", {"i": i}, i)
-        # Rewrite into the pre-sharding flat layout migrate consumes.
-        root = tmp_path / "s"
-        lines = []
-        for manifest in sorted(root.glob("*/MANIFEST.jsonl")):
-            lines.append(manifest.read_text())
-            manifest.unlink()
-        for entry in sorted(root.glob("*/*.json")):
-            os.replace(entry, root / entry.name)
-        for shard in [c for c in root.iterdir() if c.is_dir()]:
-            shard.rmdir()
-        (root / "MANIFEST.jsonl").write_text("".join(lines))
-
-        assert cli_main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "s: 3 entries moved into shards" in out
-        assert "migrated 3 legacy flat entries" in out
-        assert not list(root.glob("*.json"))
-        fresh = ResultCache(tmp_path)
-        assert fresh.stats().shards_per_sweep == (("s", 3),)
-        for i in range(3):
-            value, hit = fresh.get("s", f"{i:02d}abcd")
-            assert hit and value == i
-
-    def test_migrate_with_nothing_flat_is_quiet_success(self, tmp_path, capsys):
-        ResultCache(tmp_path).put("s", "aabbcc", {}, 1)
-        assert cli_main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0 legacy flat entries" in capsys.readouterr().out
 
 
 class TestCacheEnvExport:

@@ -432,26 +432,11 @@ class TestCodeVersionFreshness:
         assert _calls(counter) == 4  # invalidated by the edit
 
 
-def _seed_flat(cache, sweep, key, value):
-    """Plant a pre-sharding flat-layout entry (no journal record) —
-    the shape of a cache directory written before the sharded layout."""
-    path = cache.flat_path_for(sweep, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "format": 1, "key": key, "sweep": sweep, "params": {},
-        "created": 0.0, "result": value,
-    }))
-    return path
-
-
 def _journal_lines(cache, sweep):
-    """Every journal line of a sweep, across the legacy and shard layers."""
+    """Every journal line of a sweep, across its shards."""
     lines = []
-    paths = [cache.manifest_path(sweep)]
-    paths += sorted((cache.root / sweep).glob("*/MANIFEST.jsonl"))
-    for path in paths:
-        if path.exists():
-            lines.extend(path.read_text().splitlines())
+    for path in sorted((cache.root / sweep).glob("*/MANIFEST.jsonl")):
+        lines.extend(path.read_text().splitlines())
     return lines
 
 
@@ -488,36 +473,39 @@ class TestManifest:
         assert stats.sweeps == ("s1", "s2")
         assert stats.bytes > 0
 
-    def test_legacy_directory_is_rebuilt(self, tmp_path):
-        """A pre-manifest cache (flat entry files, no journal) is
-        indexed on first read — the entry files are the ground truth."""
-        cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)
-        _seed_flat(cache, "s", "k1", 1)
-        assert cache.stats().entries == 2
-        assert cache.manifest_path("s").exists()  # healed
+    def test_flat_layout_is_a_cold_miss(self, tmp_path):
+        """A pre-sharding flat directory (``<sweep>/<key>.json`` plus one
+        ``<sweep>/MANIFEST.jsonl``) is not read: every point misses,
+        run_sweep recomputes it into shards, and ``clear`` still
+        removes the directory."""
+        sweep = _counting_sweep(tmp_path)
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(sweep, cache=cache, code="v1")
+        root = cache.root / sweep.name
+        journal = "".join(
+            m.read_text() for m in sorted(root.glob("*/MANIFEST.jsonl"))
+        )
+        for entry in root.glob("*/*.json"):
+            os.replace(entry, root / entry.name)
+        for manifest in root.glob("*/MANIFEST.jsonl"):
+            manifest.unlink()
+        for shard in [c for c in root.iterdir() if c.is_dir()]:
+            shard.rmdir()
+        (root / "MANIFEST.jsonl").write_text(journal)
+        assert len(list(root.glob("*.json"))) == 4
 
-    def test_put_into_legacy_directory_indexes_everything(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)
-        cache.put("s", "k1", {}, 1)  # sharded write next to flat legacy
-        assert sorted(cache.manifest("s")) == ["k0", "k1"]
-        assert cache.stats().entries == 2
-        value, hit = cache.get("s", "k0")  # served from the flat layer
-        assert hit and value == 0
-
-    def test_sharded_rewrite_retires_flat_duplicate(self, tmp_path):
-        """A put of a key that also exists flat supersedes the flat copy
-        — one readable location per key, and the index agrees."""
-        cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", "old")
-        assert cache.manifest_keys("s") == {"k0"}  # indexes the flat copy
-        cache.put("s", "k0", {}, "new")
-        assert not cache.flat_path_for("s", "k0").exists()
-        value, hit = cache.get("s", "k0")
-        assert hit and value == "new"
-        assert cache.manifest_keys("s") == {"k0"}
-        assert cache.stats().entries == 1
+        flat = ResultCache(tmp_path / "cache")
+        assert flat.manifest_keys(sweep.name) == set()
+        assert flat.stats().entries == 0
+        again = run_sweep(sweep, cache=flat, code="v1")
+        assert again.hits == 0 and again.misses == 4
+        assert _calls(tmp_path / "calls.txt") == 8  # recomputed
+        assert len(flat.manifest_keys(sweep.name)) == 4  # now sharded
+        warm = run_sweep(sweep, cache=ResultCache(tmp_path / "cache"),
+                         code="v1")
+        assert warm.hits == 4 and _calls(tmp_path / "calls.txt") == 8
+        assert flat.clear() == 4
+        assert not root.exists()
 
     def test_entries_shard_by_key_prefix(self, tmp_path):
         """Layout acceptance: entries land in ``<sweep>/<key[:2]>/`` with
@@ -536,7 +524,9 @@ class TestManifest:
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        cache.manifest_path("s").write_text('{"op":"put","key":"k0"}\ntorn{')
+        cache.shard_manifest_path("s", "k0").write_text(
+            '{"op":"put","key":"k0"}\ntorn{'
+        )
         assert cache.stats().entries == 3  # rebuilt from entry files
 
     def test_healed_entry_records_a_del(self, tmp_path):
@@ -568,16 +558,18 @@ class TestManifest:
     def test_readonly_cache_still_serves_index_reads(
         self, tmp_path, monkeypatch
     ):
-        """A legacy directory on a read-only mount: the rebuild cannot
-        persist, but stats/manifest must still derive correct numbers
-        instead of crashing (the container runs as root, so this is
-        simulated by failing the temp-file creation)."""
+        """Torn and missing shard journals on a read-only mount: the
+        rebuild cannot persist, but stats/manifest must still derive
+        correct numbers instead of crashing (root ignores permission
+        bits, so this is simulated by failing the temp-file creation)."""
         import repro.runner.cache as cache_mod
 
         cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)  # legacy flat layer, no index
+        cache.put("s", "k0", {}, 0)
         cache.put("s", "k1", {}, 1)
-        cache.shard_manifest_path("s", "k1").unlink()  # torn shard index
+        torn = cache.shard_manifest_path("s", "k0")
+        torn.write_text("torn{garbage\n")
+        cache.shard_manifest_path("s", "k1").unlink()  # missing index
 
         def no_write(*a, **k):
             raise OSError("read-only file system")
@@ -586,7 +578,7 @@ class TestManifest:
         stats = cache.stats()
         assert stats.entries == 2 and stats.sweeps == ("s",)
         assert sorted(cache.manifest_keys("s")) == ["k0", "k1"]
-        assert not cache.manifest_path("s").exists()  # nothing persisted
+        assert torn.read_text() == "torn{garbage\n"  # nothing persisted
         assert not cache.shard_manifest_path("s", "k1").exists()
 
     def test_put_survives_unwritable_manifest(self, tmp_path, monkeypatch):
@@ -594,10 +586,10 @@ class TestManifest:
         must not fail the put, and the index self-heals later."""
         cache = ResultCache(tmp_path)
 
-        def no_append(self, sweep, record, prefix=None):
+        def no_append(self, path, lines, fsync=False):
             raise OSError("append refused")
 
-        monkeypatch.setattr(ResultCache, "_append_manifest", no_append)
+        monkeypatch.setattr(ResultCache, "_append_lines", no_append)
         cache.put("s", "k0", {}, {"ok": True})
         value, hit = cache.get("s", "k0")
         assert hit and value == {"ok": True}
@@ -810,116 +802,3 @@ class TestBulkIO:
         # Any write invalidates: the next read refolds and sees it.
         cache.put("s", "ab0077", {}, 7)
         assert cache.stats().entries == first.entries + 1
-
-
-def _flatten_to_legacy(cache, sweep):
-    """Rewrite a sharded sweep directory into the pre-sharding flat
-    layout (entries at the top level, one legacy MANIFEST.jsonl) —
-    the shape ``cache migrate`` exists to consume."""
-    root = cache.root / sweep
-    lines = []
-    for manifest in sorted(root.glob("*/MANIFEST.jsonl")):
-        lines.append(manifest.read_text())
-        manifest.unlink()
-    for entry in sorted(root.glob("*/*.json")):
-        os.replace(entry, root / entry.name)
-    for shard in [c for c in root.iterdir() if c.is_dir()]:
-        shard.rmdir()
-    (root / "MANIFEST.jsonl").write_text("".join(lines))
-
-
-class TestMigrate:
-    """cache migrate: flat legacy sweeps move wholesale into shards."""
-
-    def _legacy(self, tmp_path, n=5):
-        cache = ResultCache(tmp_path)
-        for i in range(n):
-            cache.put("s", f"{i:02d}beef", {"i": i}, i)
-        _flatten_to_legacy(cache, "s")
-        return ResultCache(tmp_path)  # fresh handle: no stale memos
-
-    def test_migrate_moves_entries_and_retires_manifest(self, tmp_path):
-        cache = self._legacy(tmp_path)
-        before = cache.manifest("s")
-        assert cache.migrate("s") == {"s": 5}
-        assert not list((tmp_path / "s").glob("*.json"))  # no flat entries
-        assert not cache.manifest_path("s").exists()  # legacy journal gone
-        fresh = ResultCache(tmp_path)
-        assert fresh.manifest("s") == before
-        for i in range(5):
-            value, hit = fresh.get("s", f"{i:02d}beef")
-            assert hit and value == i
-            assert fresh.path_for("s", f"{i:02d}beef").is_file()
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = self._legacy(tmp_path)
-        assert cache.migrate("s") == {"s": 5}
-        assert ResultCache(tmp_path).migrate("s") == {}  # nothing flat left
-        assert len(ResultCache(tmp_path).manifest("s")) == 5
-
-    def test_migrate_preserves_quarantine_and_batch_stamps(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("s", "aa0001", {"i": 1}, 1, batch=True)
-        cache.put("s", "bb0002", {"i": 2}, 2)
-        cache.quarantine("s", "cc0003", {"i": 3}, "permanent failure")
-        _flatten_to_legacy(cache, "s")
-        cache = ResultCache(tmp_path)
-        assert cache.migrate("s") == {"s": 2}  # quarantine re-homes, moves 0
-        fresh = ResultCache(tmp_path)
-        assert set(fresh.quarantined("s")) == {"cc0003"}
-        stats = fresh.stats()
-        assert stats.entries == 2 and stats.quarantined == 1
-        assert stats.batch_entries == 1  # provenance stamp survived
-
-    def test_migrate_tolerates_sharded_rewrite_of_same_key(self, tmp_path):
-        """A crashed migration followed by new writes: the sharded copy
-        wins, the stale flat duplicate is dropped, not resurrected."""
-        cache = self._legacy(tmp_path)
-        cache = ResultCache(tmp_path)
-        cache.put("s", "00beef", {"i": 0}, "newer")  # shards + retires flat
-        _seed_flat(cache, "s", "00beef", "stale")  # simulate the crash relic
-        ResultCache(tmp_path).migrate("s")
-        value, hit = ResultCache(tmp_path).get("s", "00beef")
-        assert hit and value == "newer"
-
-    def test_quarantine_then_migrate_then_resume(self, tmp_path):
-        """The ISSUE regression: a legacy flat sweep with quarantine
-        records is migrated, and a --resume run still skips the
-        quarantined point and recomputes nothing."""
-        from repro.runner import RetryPolicy
-
-        sweep = _counting_sweep(tmp_path)
-        bad = dict(sweep.points[2])
-        bad["boom"] = True
-        points = (*sweep.points[:2], bad, *sweep.points[3:])
-        sweep = Sweep(name=sweep.name, run_fn=_flaky_point, points=points)
-        cache = ResultCache(tmp_path / "cache")
-        first = run_sweep(
-            sweep, cache=cache, code="v", on_error="keep",
-            retry=RetryPolicy(retries=1, backoff=0.0),
-        )
-        assert first.errors == 1
-        assert len(cache.quarantined(sweep.name)) == 1
-        calls = _calls(tmp_path / "calls.txt")
-
-        _flatten_to_legacy(cache, sweep.name)
-        legacy = ResultCache(tmp_path / "cache")
-        assert len(legacy.quarantined(sweep.name)) == 1  # readable flat
-        assert legacy.migrate(sweep.name) == {sweep.name: 3}
-
-        resumed = run_sweep(
-            sweep, cache=ResultCache(tmp_path / "cache"), code="v",
-            resume=True, on_error="keep",
-        )
-        assert resumed.hits == 3 and resumed.quarantined == 1
-        assert resumed.misses == 0
-        assert _calls(tmp_path / "calls.txt") == calls  # nothing recomputed
-
-
-def _flaky_point(params):
-    """Counting point that fails permanently when stamped ``boom``."""
-    with open(params["counter"], "a") as fh:
-        fh.write("x")
-    if params.get("boom"):
-        raise RuntimeError("permanent failure")
-    return {"x": params["x"], "square": params["x"] ** 2}

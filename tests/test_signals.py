@@ -4,7 +4,8 @@ SIGINT and SIGTERM of a ``python -m repro sweep`` subprocess must tear
 the worker pool down (no orphaned processes), exit with the
 conventional 130/143 code, leave the sweep's cache manifest
 well-formed, and let ``--resume`` finish the campaign with results
-byte-identical to an uninterrupted run.
+byte-identical to an uninterrupted run.  In process, a signal landing
+at any step of a cache commit is delivered only after the commit.
 """
 
 import json
@@ -16,6 +17,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.runner import ResultCache
 
 REPO = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -135,3 +138,79 @@ class TestInterruptedSweep:
         final_puts = {r["key"] for r in again if r["op"] == "put"}
         assert len(final_puts) == 21 and set(puts) <= final_puts
         assert done_before < 21  # the interrupt really landed mid-sweep
+
+
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler the CLI-style test installs."""
+
+
+def _raise_terminated(signum, frame):  # noqa: ARG001
+    raise _Terminated()
+
+
+class TestCommitHoldsSignals:
+    """A signal landing at any step of a ``put_many`` commit is
+    delivered only once the commit is whole: every entry file on disk
+    has its journal ``put`` record and no temp file is left behind."""
+
+    #: Two entries in each of three shards.
+    ENTRIES = [
+        (f"{prefix}{i:04d}", {"i": i}, i)
+        for prefix in ("ab", "cd", "ef")
+        for i in range(2)
+    ]
+    STEPS = ("replace", "write", "fsync")
+
+    def _commit(self, root, monkeypatch, signo=None, at=None):
+        """Commit ``ENTRIES`` with every cache ``os`` step counted;
+        after the ``at``-th step, send ``signo`` to this process.
+        Returns the number of steps taken."""
+        calls = [0]
+
+        def hook(real):
+            def step(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls[0] += 1
+                if calls[0] == at:
+                    os.kill(os.getpid(), signo)
+                return result
+            return step
+
+        with monkeypatch.context() as patch:
+            for name in self.STEPS:
+                patch.setattr(os, name, hook(getattr(os, name)))
+            ResultCache(root).put_many("s", self.ENTRIES)
+        return calls[0]
+
+    @pytest.mark.parametrize(
+        "signo,handler,expected",
+        [
+            (signal.SIGINT, signal.default_int_handler, KeyboardInterrupt),
+            (signal.SIGTERM, _raise_terminated, _Terminated),
+        ],
+        ids=["sigint", "sigterm"],
+    )
+    def test_signal_at_every_commit_step(
+        self, tmp_path, monkeypatch, signo, handler, expected
+    ):
+        steps = self._commit(tmp_path / "dry", monkeypatch)
+        assert steps == 12  # 6 entry renames, 3 appends, 3 fsyncs
+        previous = signal.signal(signo, handler)
+        try:
+            for at in range(1, steps + 1):
+                root = tmp_path / f"step{at}"
+                with pytest.raises(expected):
+                    self._commit(root, monkeypatch, signo, at)
+                entries = {p.stem for p in root.glob("s/*/*.json")}
+                journaled = {
+                    record["key"]
+                    for manifest in root.glob("s/*/MANIFEST.jsonl")
+                    for record in map(json.loads,
+                                      manifest.read_text().splitlines())
+                    if record["op"] == "put"
+                }
+                assert entries <= journaled, f"unjournaled after step {at}"
+                assert entries == {k for k, _, _ in self.ENTRIES}
+                assert not list(root.rglob("*.tmp"))
+        finally:
+            signal.signal(signo, previous)
