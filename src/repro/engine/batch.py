@@ -10,13 +10,13 @@ and arithmetic vectorizes.
 
 :func:`run_batch` makes "evaluate N points" one operation:
 
-1. **Group** the points by decision structure.  Each point's scheduler
-   is launched on a throwaway :class:`~repro.engine.fast.FastEngine`
-   (launch builds chunk lists and queues but simulates nothing) and the
-   resulting agent descriptors are folded into a structural signature —
-   worker index, generation gap, and the exact chunk/phase streams,
-   plus the platform arity, memory capacities, the problem shape and
-   the port model.  Points with equal signatures form one group.
+1. **Group** the points by decision structure through
+   :func:`repro.engine.launch.launch_groups`, the grouping both batched
+   tiers share: a cheap pre-key (scheduler class, shape, port model,
+   memory check, worker count), then the scheduler's plan tokens with
+   one representative launch per group, else the structural signature
+   of every member's launch on a
+   :class:`~repro.engine.fast.FastEngine`.
 2. **Scan once per group.** The group's first point (the
    *representative*) drives a verbatim replay of the fast engine's
    chronological scan; every time-valued scalar of that scan is
@@ -65,13 +65,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.common import memory_exceeded
-from repro.engine.fast import FastEngine, FastEngineUnsupported
+from repro.engine.fast import FastEngine
+from repro.engine.launch import _GroupAbort, run_scalar, scan_groups
 from repro.engine.trace import (
     CommInterval,
     ComputeInterval,
@@ -110,12 +111,6 @@ class BatchItem:
     check_memory: bool = True
     engine: str = "fast"
     scenario: Optional[Scenario] = None
-
-
-class _GroupAbort(Exception):
-    """The representative's control flow raised (memory cap, bad gap,
-    update-count mismatch): the whole group re-runs scalar so each
-    point raises — or survives — authentically."""
 
 
 class _VAgent:
@@ -369,87 +364,28 @@ class BatchTrace:
 
 
 # ---------------------------------------------------------------------------
-# Grouping
-# ---------------------------------------------------------------------------
-
-def _chunk_token(chunk, id_memo: Dict[int, int], content_ids: Dict[tuple, int]) -> int:
-    """Small interned token for a chunk's full structural content.
-
-    Tokens compare by *content equality* (the interning dict keys the
-    complete ``(row_range, col_range, phases)`` tuple), never by hash
-    alone, so two structurally different chunks can never collide into
-    one group.  The ``id()`` memo makes repeat lookups O(1): the
-    lru-cached tilings hand the same chunk objects to every point of a
-    sweep.
-    """
-    token = id_memo.get(id(chunk))
-    if token is None:
-        content = (chunk.row_range, chunk.col_range, chunk.phases)
-        token = content_ids.get(content)
-        if token is None:
-            token = content_ids[content] = len(content_ids)
-        id_memo[id(chunk)] = token
-    return token
-
-
-def _signature(engine: FastEngine, item: BatchItem, id_memo, content_ids):
-    """Structural signature of one launched point.
-
-    Two points with equal signatures present the scan with identical
-    decision structure: same shape / port model / memory capacities and
-    agent count, and per agent the same worker index, generation gap
-    and exact chunk stream (chunk identity by content, queue sharing by
-    position).  Only the platform's ``c``/``w`` rates may differ.
-    """
-    queue_ids: Dict[int, tuple] = {}
-    agents = []
-    for spec in engine.env.agents:
-        if spec.queue is not None:
-            qsig = queue_ids.get(id(spec.queue))
-            if qsig is None:
-                qsig = (
-                    len(queue_ids),
-                    spec.queue._next,
-                    tuple(
-                        _chunk_token(c, id_memo, content_ids)
-                        for c in spec.queue._chunks
-                    ),
-                )
-                queue_ids[id(spec.queue)] = qsig
-            chunks_sig = None
-        else:
-            qsig = None
-            chunks_sig = tuple(
-                _chunk_token(c, id_memo, content_ids) for c in spec.chunks
-            )
-        agents.append((spec.widx, spec.gap, chunks_sig, qsig))
-    return (
-        item.shape,
-        item.two_port,
-        item.check_memory,
-        item.platform.p,
-        tuple(wk.m for wk in item.platform.workers),
-        tuple(agents),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The vectorized scan
 # ---------------------------------------------------------------------------
 
-def _scan_group(engines: List[FastEngine]) -> Tuple[_GroupTrace, np.ndarray]:
-    """Replay the fast scan once for ``engines`` (same structure, point
-    0 representative); returns the shared trace data and the validity
-    mask.  Raises :class:`_GroupAbort` when the representative's own
-    control flow raises (the group then re-runs scalar).
+def _scan_group(
+    rep: FastEngine, c_m: np.ndarray, w_m: np.ndarray
+) -> Tuple[_GroupTrace, np.ndarray]:
+    """Replay the fast scan once for a structure-sharing group.
+
+    ``rep`` is the launched engine of the group's first point; ``c_m``
+    and ``w_m`` are the group's ``(n, p)`` per-worker rate matrices
+    (row 0 belongs to the representative).  Returns the shared trace
+    data and the validity mask.  Raises
+    :class:`~repro.engine.launch._GroupAbort` when the representative's
+    own control flow raises or its update count is wrong (the group
+    then re-runs scalar).
 
     The body intentionally mirrors ``FastEngine.run`` statement for
     statement — the ``*_r`` locals *are* that scan for point 0, and
     every branch it takes is immediately re-checked elementwise against
     the ``*_v`` shadows.
     """
-    rep = engines[0]
-    n = len(engines)
+    n = len(c_m)
     workers = rep.platform.workers
     p = rep.platform.p
     recv_pid = 1 if rep.two_port else 0
@@ -457,14 +393,8 @@ def _scan_group(engines: List[FastEngine]) -> Tuple[_GroupTrace, np.ndarray]:
 
     c_r = [wk.c for wk in workers]
     w_r = [wk.w for wk in workers]
-    c_v = [
-        np.array([e.platform.workers[widx].c for e in engines])
-        for widx in range(p)
-    ]
-    w_v = [
-        np.array([e.platform.workers[widx].w for e in engines])
-        for widx in range(p)
-    ]
+    c_v = [np.ascontiguousarray(c_m[:, widx]) for widx in range(p)]
+    w_v = [np.ascontiguousarray(w_m[:, widx]) for widx in range(p)]
 
     ok = np.ones(n, dtype=bool)
     tb = np.empty(n, dtype=bool)  # comparison scratch
@@ -575,10 +505,6 @@ def _scan_group(engines: List[FastEngine]) -> Tuple[_GroupTrace, np.ndarray]:
                 return
             chunk = agent.chunks[agent.cursor]
             agent.cursor += 1
-        if agent.gap not in (1, 2):
-            raise _GroupAbort(
-                ValueError(f"generation_gap must be 1 or 2, got {agent.gap}")
-            )
         agent.chunk = chunk
         agent.phases = chunk.phases
         agent.nph = len(chunk.phases)
@@ -894,6 +820,9 @@ def _scan_group(engines: List[FastEngine]) -> Tuple[_GroupTrace, np.ndarray]:
     group.memory_peak = {
         widx + 1: peaks[widx] for widx in range(p) if peaks[widx]
     }
+    # run_scheduler's post-run accounting check is structural.
+    if int(group.comp_updates.sum()) != rep.shape.total_updates:
+        raise _GroupAbort()
     return group, ok
 
 
@@ -942,74 +871,29 @@ def run_batch(
     item whose scalar evaluation raises propagates that exception, the
     same as calling ``run_scheduler`` yourself.
     """
-    from repro.engine.engine import run_scheduler
-
     items = list(items)
     results: List[Any] = [None] * len(items)
-
-    def scalar(i: int) -> Any:
-        item = items[i]
-        return run_scheduler(
-            item.scheduler(), item.platform, item.shape,
-            two_port=item.two_port, check_memory=item.check_memory,
-            check_invariants=check_invariants, engine=item.engine,
-            scenario=item.scenario,
-        )
-
-    id_memo: Dict[int, int] = {}
-    content_ids: Dict[tuple, int] = {}
-    groups: Dict[tuple, List[tuple]] = {}
-    model_indices: List[int] = []
+    fast: List[int] = []
+    model: List[int] = []
     for i, item in enumerate(items):
-        if item.engine == "model" and item.scenario is None:
-            # Stationary model points vectorize too — the estimator's
-            # heap walk groups and scans just like the fast engine (see
-            # repro.engine.model_batch).  Scenario model points stay
-            # scalar: a rate-step crossing reshapes the estimate.
-            model_indices.append(i)
-            continue
-        if item.engine != "fast" or item.scenario is not None:
-            results[i] = scalar(i)
-            continue
-        engine = FastEngine(
-            item.platform, item.shape,
-            two_port=item.two_port, check_memory=item.check_memory,
-        )
-        try:
-            item.scheduler().launch(engine)
-        except FastEngineUnsupported:
-            results[i] = scalar(i)
-            continue
-        sig = _signature(engine, item, id_memo, content_ids)
-        groups.setdefault(sig, []).append((i, engine))
-
-    if model_indices:
+        # Stationary model points vectorize too (repro.engine.model_batch);
+        # scenario points stay scalar in both tiers.
+        if item.scenario is not None or item.engine not in ("fast", "model"):
+            results[i] = run_scalar(item, check_invariants)
+        else:
+            (fast if item.engine == "fast" else model).append(i)
+    if model:
         from repro.engine.model_batch import batch_model_items
 
-        batch_model_items(items, model_indices, results, scalar, min_group)
+        batch_model_items(items, model, results, min_group)
 
-    for sig, members in groups.items():
-        if len(members) < max(min_group, 2):
-            for i, _ in members:
-                results[i] = scalar(i)
-            continue
-        shape = sig[0]
-        try:
-            group, ok = _scan_group([eng for _, eng in members])
-            if int(group.comp_updates.sum()) != shape.total_updates:
-                raise _GroupAbort()
-            if check_invariants:
-                _check_group_invariants(group, ok)
-        except _GroupAbort:
-            # The representative's own flow raised (memory cap, update
-            # mismatch, bad gap): structural, so every member re-runs
-            # scalar and raises — or survives — authentically.
-            for i, _ in members:
-                results[i] = scalar(i)
-            continue
-        for row, (i, _) in enumerate(members):
-            if ok[row]:
-                results[i] = BatchTrace(group, row)
-            else:
-                results[i] = scalar(i)
+    def scan(rep: FastEngine, c_m: np.ndarray, w_m: np.ndarray):
+        group, ok = _scan_group(rep, c_m, w_m)
+        if check_invariants:
+            _check_group_invariants(group, ok)
+        return [BatchTrace(group, row) for row in range(group.n)], ok
+
+    scan_groups(
+        items, fast, FastEngine, scan, results, check_invariants, min_group
+    )
     return results

@@ -59,11 +59,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
 from repro.engine.common import memory_exceeded
+from repro.engine.launch import AgentSpec, LaunchTarget
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
@@ -188,64 +189,12 @@ class ModelEstimate:
         )
 
 
-# ---------------------------------------------------------------------------
-# Launch capture: quacks like Engine during ``scheduler.launch``.
-# ---------------------------------------------------------------------------
-class _AgentSpec:
-    """What the model's agent factories return instead of a generator."""
+class ModelEngine(LaunchTarget):
+    """Launch-time stand-in for :class:`~repro.engine.engine.Engine`
+    (see :class:`~repro.engine.launch.LaunchTarget`)."""
 
-    __slots__ = ("widx", "chunks", "queue", "gap")
-
-    def __init__(self, widx, chunks, queue, gap):
-        if gap not in (1, 2):
-            raise ValueError(f"generation_gap must be 1 or 2, got {gap}")
-        self.widx = widx
-        self.chunks = chunks
-        self.queue = queue
-        self.gap = gap
-
-
-class _Launchpad:
-    """Stand-in for ``Engine.env`` accepting agent descriptors only."""
-
-    __slots__ = ("agents",)
-
-    def __init__(self):
-        self.agents: list[_AgentSpec] = []
-
-    def process(self, agent, name: str = "") -> _AgentSpec:
-        if not isinstance(agent, _AgentSpec):
-            raise ModelEngineUnsupported(
-                "the model engine only estimates chunk agents "
-                "(static_agent/demand_agent); got a raw process "
-                f"{agent!r} — run with engine='des'"
-            )
-        self.agents.append(agent)
-        return agent
-
-
-class ModelEngine:
-    """Launch-time stand-in for :class:`~repro.engine.engine.Engine`.
-
-    Exposes exactly what scheduler ``launch`` implementations touch:
-    ``platform``, ``shape``, the two agent factories, and an ``env``
-    whose ``process`` collects agent descriptors.
-    """
-
-    __slots__ = ("platform", "shape", "env")
-
-    def __init__(self, platform: Platform, shape: ProblemShape):
-        self.platform = platform
-        self.shape = shape
-        self.env = _Launchpad()
-
-    def static_agent(
-        self, widx: int, chunks: Sequence[Chunk], generation_gap: int
-    ) -> _AgentSpec:
-        return _AgentSpec(widx, list(chunks), None, generation_gap)
-
-    def demand_agent(self, widx: int, queue, generation_gap: int) -> _AgentSpec:
-        return _AgentSpec(widx, None, queue, generation_gap)
+    __slots__ = ()
+    unsupported = ModelEngineUnsupported
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +287,7 @@ class _Run:
     __slots__ = ("widx", "gap", "chunks", "cursor", "queue",
                  "stats", "chunk", "compute_start", "stats_key")
 
-    def __init__(self, spec: _AgentSpec):
+    def __init__(self, spec: AgentSpec):
         self.widx = spec.widx
         self.gap = spec.gap
         self.chunks = spec.chunks
@@ -349,24 +298,11 @@ class _Run:
         self.compute_start = 0.0
         self.stats_key = "_model_stats2" if spec.gap == 2 else "_model_stats1"
 
-    def next_chunk(self) -> Optional[Chunk]:
-        if self.queue is not None:
-            return self.queue.pop()
-        if self.cursor < len(self.chunks):
-            chunk = self.chunks[self.cursor]
-            self.cursor += 1
-            return chunk
-        return None
 
-
-def _estimate(
-    agents: Sequence[_AgentSpec],
-    platform: Platform,
-    shape: ProblemShape,
-    two_port: bool,
-    check_memory: bool,
-    scenario: Optional[Scenario],
-) -> ModelEstimate:
+def _estimate(engine: ModelEngine, scenario: Optional[Scenario]) -> ModelEstimate:
+    platform = engine.platform
+    two_port = engine.two_port
+    check_memory = engine.check_memory
     p = platform.p
     varying = scenario is not None and scenario.has_rate_variation
     if varying:
@@ -434,7 +370,7 @@ def _estimate(
 
     heap: list = []
     seq = 0
-    for spec in agents:
+    for spec in engine.env.agents:
         heappush(heap, (0.0, seq, _START, _Run(spec)))
         seq += 1
 
@@ -612,8 +548,6 @@ def run_model(
             f"scenario {scenario.name!r} wraps platform "
             f"{scenario.platform.name!r}, not {platform.name!r}"
         )
-    engine = ModelEngine(platform, shape)
+    engine = ModelEngine(platform, shape, two_port, check_memory)
     scheduler.launch(engine)
-    return _estimate(
-        engine.env.agents, platform, shape, two_port, check_memory, scenario
-    )
+    return _estimate(engine, scenario)

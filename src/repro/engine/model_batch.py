@@ -12,17 +12,12 @@ vectorizes.
 :func:`run_model_batch` applies :func:`repro.engine.batch.run_batch`'s
 discipline to the estimator:
 
-1. **Group by structure — without launching.**  Schedulers that can
-   prove their launch structure from the platform rates alone publish
-   cheap per-point plan tokens
-   (:meth:`~repro.schedulers.base.ChunkScheduler.plan_signatures`:
-   HoLM/ORROML from the Section 5 plan, the demand-driven family from
-   the tile side); equal tokens place points in one group and only the
-   group *representative* is ever launched.  Schedulers that cannot
-   (``plan_signatures() is None``) fall back to launching each point on
-   a throwaway :class:`~repro.engine.model.ModelEngine` and folding the
-   agent descriptors into the same structural signature the fast batch
-   path uses (:func:`repro.engine.batch._signature`).
+1. **Group by structure** through
+   :func:`repro.engine.launch.launch_groups`, the grouping both batched
+   tiers share: a cheap pre-key, then the scheduler's plan tokens
+   (:meth:`~repro.schedulers.base.ChunkScheduler.plan_signatures`) with
+   one representative launch per group, else the structural signature
+   of every member's launch on a :class:`~repro.engine.model.ModelEngine`.
 2. **One heap walk per group.**  The group's first point (the
    *representative*) drives a verbatim replay of ``model._estimate``'s
    stationary path; every time-valued scalar is shadowed by an ``(N,)``
@@ -51,18 +46,18 @@ bytes the scalar ``if``/``else`` does.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.batch import MIN_GROUP, BatchItem, _GroupAbort, _signature
+from repro.engine.batch import MIN_GROUP, BatchItem
 from repro.engine.common import memory_exceeded
+from repro.engine.launch import _GroupAbort, run_scalar, scan_groups
 from repro.engine.model import (
     _BULK,
     _COUT,
     _START,
     ModelEngine,
-    ModelEngineUnsupported,
     ModelEstimate,
     _chunk_stats,
     _Run,
@@ -72,10 +67,7 @@ __all__ = ["batch_model_items", "run_model_batch"]
 
 
 def _scan_model_group(
-    items: Sequence[BatchItem],
-    rep: ModelEngine,
-    c_m: np.ndarray,
-    w_m: np.ndarray,
+    rep: ModelEngine, c_m: np.ndarray, w_m: np.ndarray
 ) -> Tuple[List[ModelEstimate], np.ndarray]:
     """Replay the stationary estimator once for the whole group.
 
@@ -86,16 +78,15 @@ def _scan_model_group(
     statement (they *are* that walk for point 0); each is shadowed by
     an ``(N,)`` array holding the same quantity for every point.
     Returns one estimate per row plus the validity mask.  Raises
-    :class:`~repro.engine.batch._GroupAbort` when the representative's
-    own flow raises (memory cap — structural, so every member re-runs
-    scalar and raises authentically).
+    :class:`~repro.engine.launch._GroupAbort` when the representative's
+    own flow raises or its update count is wrong (both structural, so
+    every member re-runs scalar and raises authentically).
     """
-    rep_item = items[0]
-    n = len(items)
+    n = len(c_m)
     workers = rep.platform.workers
     p = rep.platform.p
-    two_port = rep_item.two_port
-    check_memory = rep_item.check_memory
+    two_port = rep.two_port
+    check_memory = rep.check_memory
     recv_pid = 1 if two_port else 0
 
     c_r = [wk.c for wk in workers]
@@ -231,6 +222,9 @@ def _scan_model_group(
             push(heap, (done_r, seq, _START, run, done_v))
             seq += 1
 
+    # run_scheduler's post-run accounting check is structural.
+    if updates_total != rep.shape.total_updates:
+        raise _GroupAbort()
     # Bulk-extract the columns once (`.tolist()` yields the same Python
     # floats bit for bit) instead of 256×(p+3) scalar indexing calls.
     makespan_l = makespan_v.tolist()
@@ -255,192 +249,25 @@ def _scan_model_group(
     return estimates, ok
 
 
-def _rate_matrices(
-    members: Sequence[tuple], p: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n, p)`` matrices of per-worker ``c``, ``w`` and memory."""
-    flat = [wk for _, item, _ in members for wk in item.platform.workers]
-    n = len(members)
-    return (
-        np.array([wk.c for wk in flat]).reshape(n, p),
-        np.array([wk.w for wk in flat]).reshape(n, p),
-        np.array([wk.m for wk in flat], dtype=np.int64).reshape(n, p),
-    )
-
-
-def _scan_rows(
-    members: Sequence[tuple],
-    rows: Sequence[int],
-    shape: Any,
-    c_m: np.ndarray,
-    w_m: np.ndarray,
-    results: List[Any],
-    scalar: Callable[[int], Any],
-    engine: ModelEngine | None = None,
-) -> int:
-    """Scan one structure-sharing group; scatter estimates and fallbacks.
-
-    ``rows`` indexes into ``members`` (and the rate matrices); the
-    first row is the representative.  ``engine`` is its launched
-    engine when the caller already has one (the signature-fallback
-    path); otherwise the representative is launched here — the plan
-    token certifies every other row would build the same structure.
-    Returns how many rows the vectorized path committed.
-    """
-    if engine is None:
-        i0, item0, sch0 = members[rows[0]]
-        engine = ModelEngine(item0.platform, item0.shape)
-        try:
-            sch0.launch(engine)
-        except ModelEngineUnsupported:
-            # No silent fallback tier for the model engine: the scalar
-            # path re-raises the same rejection authentically.
-            for row in rows:
-                results[members[row][0]] = scalar(members[row][0])
-            return 0
-    sel = np.array(rows)
-    try:
-        estimates, ok = _scan_model_group(
-            [members[row][1] for row in rows], engine, c_m[sel], w_m[sel]
-        )
-        # run_scheduler's post-run accounting check is structural: a
-        # mismatch means every member raises, authentically, via the
-        # scalar path.
-        if estimates[0].total_updates != shape.total_updates:
-            raise _GroupAbort()
-    except _GroupAbort:
-        for row in rows:
-            results[members[row][0]] = scalar(members[row][0])
-        return 0
-    vectorized = 0
-    for pos, flag in enumerate(ok.tolist()):
-        i = members[rows[pos]][0]
-        if flag:
-            results[i] = estimates[pos]
-            vectorized += 1
-        else:
-            results[i] = scalar(i)
-    return vectorized
-
-
-def _signature_groups(
-    members: Sequence[tuple],
-    results: List[Any],
-    scalar: Callable[[int], Any],
-    min_group: int,
-    c_m: np.ndarray,
-    w_m: np.ndarray,
-) -> int:
-    """Launch-everything fallback for ``plan_signatures() is None``.
-
-    Each point's scheduler runs on a throwaway engine and the agent
-    descriptors fold into :func:`repro.engine.batch._signature`; the
-    signature's structural fields subsume the plan token, so this path
-    is sound for any scheduler at a per-point launch cost.
-    """
-    id_memo: Dict[int, int] = {}
-    content_ids: Dict[tuple, int] = {}
-    groups: Dict[tuple, List[Tuple[int, ModelEngine]]] = {}
-    for row, (i, item, sch) in enumerate(members):
-        engine = ModelEngine(item.platform, item.shape)
-        try:
-            sch.launch(engine)
-        except ModelEngineUnsupported:
-            results[i] = scalar(i)
-            continue
-        sig = _signature(engine, item, id_memo, content_ids)
-        groups.setdefault(sig, []).append((row, engine))
-    vectorized = 0
-    for sig, grouped in groups.items():
-        rows = [row for row, _ in grouped]
-        if len(rows) < min_group:
-            for row in rows:
-                results[members[row][0]] = scalar(members[row][0])
-            continue
-        vectorized += _scan_rows(
-            members, rows, sig[0], c_m, w_m, results, scalar,
-            engine=grouped[0][1],
-        )
-    return vectorized
-
-
 def batch_model_items(
     items: Sequence[BatchItem],
     indices: Sequence[int],
     results: List[Any],
-    scalar: Callable[[int], Any],
     min_group: int = MIN_GROUP,
 ) -> int:
     """Group the stationary model items of a batch and scan each group.
 
     ``indices`` selects the ``engine="model"``, scenario-free items of
     ``items``; each resolved slot of ``results`` receives either a
-    vectorized :class:`~repro.engine.model.ModelEstimate` or the
-    ``scalar(i)`` fallback.  Returns how many items the vectorized path
-    committed (the rest went scalar).  Called by
-    :func:`repro.engine.batch.run_batch`; use :func:`run_model_batch`
-    for a standalone item list.
-
-    Grouping is two-tier: a cheap pre-key (scheduler class, shape,
-    port/memory flags, worker count) splits the batch without touching
-    any engine, then
-    :meth:`~repro.schedulers.base.ChunkScheduler.plan_signatures`
-    refines each pre-group into structure-sharing runs with exactly one
-    launch per group.  Schedulers that decline (``None``) take
-    :func:`_signature_groups` instead.
+    vectorized :class:`~repro.engine.model.ModelEstimate` or the scalar
+    fallback.  Returns how many items the vectorized path committed.
+    Called by :func:`repro.engine.batch.run_batch`; use
+    :func:`run_model_batch` for a standalone item list.
     """
-    min_group = max(min_group, 2)
-    pregroups: Dict[tuple, List[tuple]] = {}
-    for i in indices:
-        item = items[i]
-        sch = item.scheduler()
-        key = (
-            type(sch), item.shape, item.two_port, item.check_memory,
-            item.platform.p,
-        )
-        pregroups.setdefault(key, []).append((i, item, sch))
-
-    vectorized = 0
-    for key, members in pregroups.items():
-        if len(members) < min_group:
-            for i, _, _ in members:
-                results[i] = scalar(i)
-            continue
-        shape, p = key[1], key[4]
-        c_m, w_m, m_m = _rate_matrices(members, p)
-        # Non-chunk schedulers (no plan_signatures at all) go through
-        # the launch-everything fallback, which also surfaces their
-        # ModelEngineUnsupported exactly like the scalar path.
-        signatures = getattr(members[0][2], "plan_signatures", None)
-        tokens = (
-            signatures(shape, c_m, w_m, m_m) if signatures is not None
-            else None
-        )
-        if tokens is None:
-            vectorized += _signature_groups(
-                members, results, scalar, min_group, c_m, w_m
-            )
-            continue
-        # The scan's memory-cap check reads the representative's
-        # per-worker capacities, so rows sharing a token must also
-        # share them; in the overwhelmingly common case (a rate sweep
-        # over one hardware description) a single vector check settles
-        # it for the whole pre-group.
-        uniform_m = bool((m_m == m_m[0]).all())
-        by_token: Dict[Any, List[int]] = {}
-        for row, tok in enumerate(tokens):
-            if not uniform_m:
-                tok = (tok, tuple(m_m[row].tolist()))
-            by_token.setdefault(tok, []).append(row)
-        for rows in by_token.values():
-            if len(rows) < min_group:
-                for row in rows:
-                    results[members[row][0]] = scalar(members[row][0])
-                continue
-            vectorized += _scan_rows(
-                members, rows, shape, c_m, w_m, results, scalar
-            )
-    return vectorized
+    return scan_groups(
+        items, indices, ModelEngine, _scan_model_group, results, True,
+        min_group,
+    )
 
 
 def run_model_batch(
@@ -461,27 +288,16 @@ def run_model_batch(
     S}`` so callers (the throughput gate) can assert the fast path
     actually ran.
     """
-    from repro.engine.engine import run_scheduler
-
     items = list(items)
     results: List[Any] = [None] * len(items)
-
-    def scalar(i: int) -> Any:
-        item = items[i]
-        return run_scheduler(
-            item.scheduler(), item.platform, item.shape,
-            two_port=item.two_port, check_memory=item.check_memory,
-            engine=item.engine, scenario=item.scenario,
-        )
-
     model_indices: List[int] = []
     for i, item in enumerate(items):
         if item.engine == "model" and item.scenario is None:
             model_indices.append(i)
         else:
-            results[i] = scalar(i)
+            results[i] = run_scalar(item)
     vectorized = batch_model_items(
-        items, model_indices, results, scalar, min_group
+        items, model_indices, results, min_group=min_group
     )
     if counters is not None:
         counters["vectorized"] = vectorized

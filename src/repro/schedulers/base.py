@@ -55,17 +55,22 @@ class ChunkScheduler(ABC):
     def plan_signatures(
         self, shape: ProblemShape, c: np.ndarray, w: np.ndarray, m: np.ndarray
     ) -> Optional[list[Hashable]]:
-        """Cheap structural tokens for batched model estimation.
+        """Cheap structural tokens for batched evaluation.
 
         ``c``/``w``/``m`` are ``(n, p)`` arrays of per-worker rates, one
         row per platform of a sweep batch.  Returns one hashable token
-        per row under the contract *equal tokens ⇒* :meth:`launch`
-        *builds identical agent structure on those platforms* (same
-        chunk streams in the same order, same worker indices, same
-        generation gap) — or ``None`` when the scheduler cannot promise
-        that without actually launching.  ``None`` (the default) makes
-        the batch layer launch every point and group by the full
-        structural signature instead, which is always sound but pays a
+        per row under the contract *equal tokens (on equal memory rows)
+        ⇒* :meth:`launch` *builds identical agent structure on those
+        platforms* (same chunk streams in the same order, same worker
+        indices, same generation gap) — or ``None`` when the scheduler
+        cannot promise that without actually launching.  Both batched
+        tiers (fast traces and model estimates) rely on it through
+        :func:`repro.engine.launch.launch_groups`, which launches only
+        one representative per token;
+        ``TestPlanSignatureContract`` in ``tests/test_fast_parity.py``
+        checks the promise on both engines.  ``None`` (the default)
+        makes the batch layer launch every point and group by the full
+        launch signature instead, which is always sound but pays a
         per-point launch.
 
         Implementations must derive tokens from the class and the

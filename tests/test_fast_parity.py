@@ -667,6 +667,130 @@ class TestBatchedEngineParity:
             assert got.to_trace().comms == want.comms
 
 
+from repro.engine import FastEngine, ModelEngine  # noqa: E402
+from repro.engine.launch import _rate_matrices, _signature  # noqa: E402
+from repro.platform import ut_cluster_platform  # noqa: E402
+from repro.workloads import fig10_workloads  # noqa: E402
+
+
+class TestPlanSignatureContract:
+    """``plan_signatures``: equal (token, memory row) ⇒ equal launch.
+
+    Both batched tiers launch only one representative per token class,
+    so the promise must hold for the fast and the model engine alike.
+    """
+
+    MEMORY_MB = (128, 256, 512, 1024)
+
+    def _grid(self, rng, p):
+        """Seeded platforms: bandwidth scaled 0.5–2×, four memory sizes,
+        rates jittered by ``perturbed(σ=0.05)``."""
+        return [
+            perturbed(
+                scaled_bandwidth(
+                    ut_cluster_platform(p=p, memory_mb=mem),
+                    float(rng.uniform(0.5, 2.0)),
+                ),
+                rng, 0.05,
+            )
+            for mem in self.MEMORY_MB
+            for _ in range(6)
+        ]
+
+    def test_equal_tokens_launch_equal_structure(self):
+        rng = np.random.default_rng(1234)
+        shapes = [wl.shape(80) for wl in fig10_workloads()]
+        classes = shared = 0
+        for cls in ALL_SEVEN:
+            for p in (3, 8):
+                platforms = self._grid(rng, p)
+                items = [BatchItem(cls, plat, shapes[0]) for plat in platforms]
+                c_m, w_m, m_m = _rate_matrices(items, p)
+                for shape in shapes:
+                    tokens = cls().plan_signatures(shape, c_m, w_m, m_m)
+                    if tokens is None:
+                        assert cls is OMMOML, f"{cls.name} stopped planning"
+                        continue
+                    keys = [
+                        (tok, tuple(row)) for tok, row in zip(tokens, m_m.tolist())
+                    ]
+                    for engine_cls in (FastEngine, ModelEngine):
+                        memo, content = {}, {}
+                        seen = {}
+                        for key, plat in zip(keys, platforms):
+                            engine = engine_cls(plat, shape)
+                            cls().launch(engine)
+                            sig = _signature(engine, memo, content)
+                            assert seen.setdefault(key, sig) == sig, (
+                                f"{cls.name} on {engine_cls.__name__}: "
+                                f"token {key[0]!r} launched two structures"
+                            )
+                    classes += len(set(keys))
+                    shared += len(keys) - len(set(keys))
+        # The grid must actually put several rows in one token class.
+        assert classes > 100 and shared > 300, (classes, shared)
+
+
+class TestLaunchCounts:
+    """``run_batch`` launches a scheduler only where a result needs it:
+    once per group representative, once per scalar run."""
+
+    @staticmethod
+    def _counted(base):
+        launches = []
+
+        class Counted(base):
+            def launch(self, engine):
+                launches.append(type(engine).__name__)
+                super().launch(engine)
+
+        return Counted, launches
+
+    def test_single_item_launches_once(self):
+        Counted, launches = self._counted(HoLM)
+        item = BatchItem(
+            Counted, Platform.homogeneous(2, c=1.0, w=0.5, m=21),
+            ProblemShape(r=4, s=4, t=3, q=2),
+        )
+        run_batch([item])
+        assert launches == ["FastEngine"]
+
+    def test_sub_min_group_pregroups_launch_once_each(self):
+        shape = ProblemShape(r=6, s=6, t=4, q=2)
+        base = Platform.homogeneous(3, c=0.5, w=0.3, m=35)
+        CountedA, launches_a = self._counted(HoLM)
+        CountedB, launches_b = self._counted(ODDOML)
+        items = [
+            BatchItem(CountedA, scaled_bandwidth(base, 1.0 + 0.002 * i), shape)
+            for i in range(3)
+        ] + [BatchItem(CountedB, base, shape)]
+        results = run_batch(items, min_group=4)
+        assert not any(isinstance(r, BatchTrace) for r in results)
+        assert len(launches_a) == 3 and len(launches_b) == 1
+
+    @pytest.mark.parametrize("base_cls,sigma", [(HoLM, 0.0), (DDOML, 0.05)])
+    def test_token_group_launches_representative_only(self, base_cls, sigma):
+        Counted, launches = self._counted(base_cls)
+        base = Platform.homogeneous(4, c=0.5, w=0.3, m=35)
+        shape = ProblemShape(r=6, s=6, t=4, q=2)
+        rng = np.random.default_rng(11)
+        items = [
+            BatchItem(
+                Counted,
+                perturbed(scaled_bandwidth(base, 1.0 + 0.002 * i), rng, sigma),
+                shape,
+            )
+            for i in range(8)
+        ]
+        results = run_batch(items)
+        fallbacks = sum(not isinstance(r, BatchTrace) for r in results)
+        # σ=0.05 makes some DDOML rows diverge: they must cost one
+        # scalar launch each, on top of the representative's.
+        assert (fallbacks > 0) == (sigma > 0) and fallbacks < len(items)
+        assert len(launches) == 1 + fallbacks
+        assert_batch_matches_fast(items, results, context=base_cls.name)
+
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
