@@ -34,8 +34,8 @@ import time
 from typing import Mapping
 
 from repro.analysis import format_table
-from repro.engine import BatchItem, run_scheduler
-from repro.experiments.batching import evaluate_batch
+from repro.engine import BatchItem
+from repro.experiments.batching import evaluate_batch, evaluate_point
 from repro.platform import ut_cluster_platform
 from repro.runner import Sweep, prescreen_sweep, run_sweep
 from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
@@ -80,11 +80,7 @@ def _point(params: Mapping) -> dict:
     Top-level and pure so the sweep runner can cache it and fan it out
     across processes like any experiment point.
     """
-    item = _item(params)
-    trace = run_scheduler(
-        item.scheduler(), item.platform, item.shape, engine=item.engine
-    )
-    return _row(params, trace)
+    return evaluate_point(params, _item, _row)
 
 
 def _batch_points(points) -> list:

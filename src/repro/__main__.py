@@ -236,9 +236,6 @@ def _cmd_sweep(argv: list[str]) -> int:
     if args.resume and args.no_cache:
         print("bad arguments: --resume needs the cache (drop --no-cache)")
         return 2
-    if args.prescreen is not None and args.prescreen <= 0:
-        print("bad arguments: --prescreen must be a positive count or fraction")
-        return 2
     if args.retry_quarantined and not args.resume:
         print("bad arguments: --retry-quarantined only applies with --resume")
         return 2
@@ -329,6 +326,9 @@ def _cmd_sweep(argv: list[str]) -> int:
                         file=sys.stderr,
                     )
                     sweeps.append(swp)
+                except ValueError as exc:  # a bad --prescreen K
+                    print(f"bad arguments: --prescreen: {exc}")
+                    return 2
                 else:
                     print(
                         f"[{swp.name}] prescreen kept {result.kept} of "

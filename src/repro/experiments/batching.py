@@ -1,13 +1,23 @@
-"""Shared glue for the experiments' batchable point functions.
+"""Shared glue for the experiments' point functions.
 
-Each ported experiment module declares a top-level ``batch_fn`` beside
-its per-point ``run_fn`` (the :data:`repro.runner.BatchableFn`
-contract).  The pattern is always the same: translate each point's
-parameters into a :class:`repro.engine.BatchItem`, hand the whole group
-to :func:`repro.engine.run_batch` (which vectorizes structure-sharing
-subgroups and falls back to the scalar fast engine everywhere it cannot
-prove byte-identity), then format each trace into the point's table
-row.  This module keeps that translation loop in one place.
+A simulating sweep declares each point once, as two pure top-level
+functions: ``_item(params)`` rebuilds the point's
+:class:`repro.engine.BatchItem` from its parameters, and
+``_row(params, trace)`` formats the resulting trace into the point's
+table row.  Both of the sweep's evaluators are then one-liners over
+this module:
+
+* ``_point`` (the per-point ``run_fn``) is :func:`evaluate_point` — the
+  scalar reference run of the one item;
+* ``_batch_points`` (the :data:`repro.runner.BatchableFn`) is
+  :func:`evaluate_batch` — the whole group handed to
+  :func:`repro.engine.run_batch`, which vectorizes structure-sharing
+  subgroups and falls back to the scalar run everywhere it cannot prove
+  byte-identity.
+
+The scalar path stays a plain ``run_scheduler`` call rather than a
+batch of one: its rows are the reference the batched rows are tested
+against.
 """
 
 from __future__ import annotations
@@ -15,8 +25,22 @@ from __future__ import annotations
 from typing import Any, Callable, List, Mapping, Sequence
 
 from repro.engine import BatchItem, run_batch
+from repro.engine.launch import run_scalar
 
-__all__ = ["evaluate_batch"]
+__all__ = ["evaluate_batch", "evaluate_point"]
+
+
+def evaluate_point(
+    params: Mapping[str, Any],
+    make_item: Callable[[Mapping[str, Any]], BatchItem],
+    make_row: Callable[[Mapping[str, Any], Any], Any],
+) -> Any:
+    """Evaluate one point through the scalar engine; its row.
+
+    ``make_item`` and ``make_row`` are the same pair the sweep hands to
+    :func:`evaluate_batch`, so both paths share one declaration.
+    """
+    return make_row(params, run_scalar(make_item(params)))
 
 
 def evaluate_batch(

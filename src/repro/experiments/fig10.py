@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_scheduler
-from repro.experiments.batching import evaluate_batch
+from repro.engine import BatchItem
+from repro.experiments.batching import evaluate_batch, evaluate_point
 from repro.platform.model import scaled_bandwidth
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
@@ -67,11 +67,7 @@ def _row(params: Mapping, trace) -> dict:
 
 def _point(params: Mapping) -> dict:
     """Simulate one algorithm on one workload; returns the table row."""
-    item = _item(params)
-    trace = run_scheduler(
-        item.scheduler(), item.platform, item.shape, engine=item.engine
-    )
-    return _row(params, trace)
+    return evaluate_point(params, _item, _row)
 
 
 def _batch_points(points: Sequence[Mapping]) -> list:

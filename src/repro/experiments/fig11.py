@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_batch, run_scheduler
+from repro.engine import BatchItem, run_batch
+from repro.engine.launch import run_scalar
 from repro.platform.model import perturbed
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
@@ -30,22 +31,29 @@ from repro.workloads import FIG10_WORKLOADS, Workload
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
-def _platforms(params: Mapping) -> list:
-    """The point's ``runs`` jittered platforms, in draw order.
+def _items(params: Mapping) -> list:
+    """The point's ``runs`` jittered engine inputs, in draw order.
 
-    Drawing them up front consumes the RNG stream exactly as the
-    original per-run loop did (scheduler construction never touches the
-    stream), so the scalar and batched paths see identical platforms.
+    Drawing the platforms up front consumes the RNG stream exactly as
+    the original per-run loop did (scheduler construction never touches
+    the stream), so the scalar and batched paths see identical
+    platforms.  Each item builds a fresh scheduler instance per run
+    (some keep per-run state).
     """
     rng = np.random.default_rng((params["seed"], params["algo_index"]))
     base = ut_cluster_platform(p=8)
-    return [perturbed(base, rng, params["sigma"]) for _ in range(params["runs"])]
-
-
-def _shape(params: Mapping):
-    return Workload(
+    shape = Workload(
         params["workload"], params["n_a"], params["n_ab"], params["n_b"]
     ).shape(80)
+    return [
+        BatchItem(
+            scheduler=lambda a=params["algorithm"]: section8_scheduler(a),
+            platform=perturbed(base, rng, params["sigma"]),
+            shape=shape,
+            engine=params.get("engine", "fast"),
+        )
+        for _ in range(params["runs"])
+    ]
 
 
 def _row(params: Mapping, times: Sequence[float]) -> dict:
@@ -62,16 +70,7 @@ def _row(params: Mapping, times: Sequence[float]) -> dict:
 
 def _point(params: Mapping) -> dict:
     """Repeat one algorithm ``runs`` times under platform jitter."""
-    shape = _shape(params)
-    times = []
-    for platform in _platforms(params):
-        # Fresh scheduler instance per run (some keep per-run state).
-        scheduler = section8_scheduler(params["algorithm"])
-        trace = run_scheduler(
-            scheduler, platform, shape, engine=params.get("engine", "fast")
-        )
-        times.append(trace.makespan)
-    return _row(params, times)
+    return _row(params, [run_scalar(item).makespan for item in _items(params)])
 
 
 def _batch_points(points: Sequence[Mapping]) -> list:
@@ -79,24 +78,11 @@ def _batch_points(points: Sequence[Mapping]) -> list:
     into one item stream so runs group across points as well as within
     them (they share the decision structure whenever the jitter leaves
     scheduler choices untouched)."""
-    items, spans = [], []
-    for params in points:
-        shape = _shape(params)
-        start = len(items)
-        for platform in _platforms(params):
-            items.append(
-                BatchItem(
-                    scheduler=lambda a=params["algorithm"]: section8_scheduler(a),
-                    platform=platform,
-                    shape=shape,
-                    engine=params.get("engine", "fast"),
-                )
-            )
-        spans.append((start, len(items)))
-    traces = run_batch(items)
+    items = [_items(params) for params in points]
+    traces = iter(run_batch([item for runs in items for item in runs]))
     return [
-        _row(params, [trace.makespan for trace in traces[lo:hi]])
-        for params, (lo, hi) in zip(points, spans)
+        _row(params, [next(traces).makespan for _ in runs])
+        for params, runs in zip(points, items)
     ]
 
 

@@ -49,7 +49,8 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_batch, run_scheduler
+from repro.engine import BatchItem, run_scheduler
+from repro.experiments.batching import evaluate_batch, evaluate_point
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, cached_call, run_sweep, stamp_points
 from repro.scenarios import build_scenario, scenario_spec
@@ -114,33 +115,41 @@ def _baseline_makespan(
     )
 
 
-def _prepare(params: Mapping) -> tuple:
-    """One point's ``(BatchItem, baseline makespan)`` from its scalars."""
+def _baseline(params: Mapping) -> float:
+    """The point's stationary baseline makespan (memoized)."""
+    return _baseline_makespan(
+        params["algorithm"], params["p"], params["memory_mb"], params["q"],
+        params["scale"], params.get("engine", "fast"),
+    )
+
+
+def _item(params: Mapping) -> BatchItem:
+    """Rebuild one point's scenario run from its scalars."""
     algorithm = params["algorithm"]
     p, memory_mb, q = params["p"], params["memory_mb"], params["q"]
-    scale = params["scale"]
-    engine = params.get("engine", "fast")
-    base_makespan = _baseline_makespan(algorithm, p, memory_mb, q, scale, engine)
-
     spec = scenario_spec(
         params["scenario_kind"], params["severity"],
-        horizon=base_makespan, seed=params["seed"],
+        horizon=_baseline(params), seed=params["seed"],
     )
-    scheduler, platform = _scheduler_and_platform(algorithm, p, memory_mb, q)
-    scenario = build_scenario(platform, spec)
-    shape = fig10_workloads(scale)[0].shape(q)
-    del scheduler  # the item carries a fresh-instance factory instead
-    item = BatchItem(
+    platform = _scheduler_and_platform(algorithm, p, memory_mb, q)[1]
+    return BatchItem(
         scheduler=lambda: _scheduler_and_platform(algorithm, p, memory_mb, q)[0],
         platform=platform,
-        shape=shape,
-        engine=engine,
-        scenario=scenario,
+        shape=fig10_workloads(params["scale"])[0].shape(q),
+        engine=params.get("engine", "fast"),
+        scenario=build_scenario(platform, spec),
     )
-    return item, base_makespan
 
 
-def _row(params: Mapping, base_makespan: float, trace) -> dict:
+def _row(params: Mapping, trace) -> dict:
+    """Format one point's scenario trace into its table row.
+
+    Makespans are *work* makespans (``Trace.work_makespan``): background
+    holds contend for the port but do not themselves count as work, so
+    the congestion family measures real delay, not the synthetic hold's
+    own end time.
+    """
+    base_makespan = _baseline(params)
     makespan = trace.work_makespan
     return {
         "scenario": params["scenario_kind"],
@@ -154,19 +163,8 @@ def _row(params: Mapping, base_makespan: float, trace) -> dict:
 
 
 def _point(params: Mapping) -> dict:
-    """Baseline + scenario simulation of one algorithm; one table row.
-
-    Makespans are *work* makespans (``Trace.work_makespan``): background
-    holds contend for the port but do not themselves count as work, so
-    the congestion family measures real delay, not the synthetic hold's
-    own end time.
-    """
-    item, base_makespan = _prepare(params)
-    trace = run_scheduler(
-        item.scheduler(), item.platform, item.shape,
-        engine=item.engine, scenario=item.scenario,
-    )
-    return _row(params, base_makespan, trace)
+    """Baseline + scenario simulation of one algorithm; one table row."""
+    return evaluate_point(params, _item, _row)
 
 
 def _batch_points(points: Sequence[Mapping]) -> list:
@@ -178,12 +176,7 @@ def _batch_points(points: Sequence[Mapping]) -> list:
     persisted baselines.  If scenario batching lands in the engine, the
     sweep picks it up here with no further changes.
     """
-    prepared = [_prepare(params) for params in points]
-    traces = run_batch([item for item, _ in prepared])
-    return [
-        _row(params, base, trace)
-        for params, (_, base), trace in zip(points, prepared, traces)
-    ]
+    return evaluate_batch(points, _item, _row)
 
 
 def sweep(

@@ -285,13 +285,6 @@ class ChaosBackend:
         """Pass-through: cache addressing reaches a remote inner."""
         return bool(getattr(self.inner, "supports_context", False))
 
-    @property
-    def supports_batches(self) -> bool:
-        """Pass-through: group dispatch works wherever the inner does
-        (the injected faults then hit whole groups, which the runner
-        heals by re-dispatching each point through the scalar path)."""
-        return bool(getattr(self.inner, "supports_batches", False))
-
     def map(
         self,
         fn: PointFn,

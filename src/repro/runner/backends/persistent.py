@@ -234,9 +234,6 @@ class PersistentBackend:
     #: The chaos backend probes this: wrappers travel as import tokens
     #: in the task options and are applied inside the real workers.
     supports_wrap = True
-    #: Group dispatch: batch items are plain mappings resolved by import
-    #: token worker-side, exactly like per-point tasks.
-    supports_batches = True
 
     def __init__(
         self,

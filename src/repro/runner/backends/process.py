@@ -74,9 +74,6 @@ class ProcessBackend:
     """
 
     name = "process"
-    #: Group dispatch: a batch item is an ordinary picklable mapping, so
-    #: the pool ships point-groups the same way it ships points.
-    supports_batches = True
 
     def __init__(self, jobs: int = 1, initializer_probe=None) -> None:
         self.jobs = max(1, jobs)

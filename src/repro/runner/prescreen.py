@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from repro.runner.sweep import Sweep, stamp_points
+from repro.runner.sweep import Sweep, SweepPointError, run_sweep, stamp_points
 
 __all__ = [
     "PrescreenResult",
@@ -111,70 +111,69 @@ def prescreen_sweep(
         sweep: any sweep whose point function honours the ``engine``
             point parameter (all simulating experiments do, via
             ``params.get("engine", "fast")``).
-        keep: how much to keep — an integer count (``keep >= 1``) or a
-            fraction in ``(0, 1)`` of the point total (rounded up).
-            At least one point always survives.
+        keep: how much to keep — an integral count (``keep >= 1``) or
+            a fraction in ``(0, 1)`` of the point total (rounded up).
+            At least one point of a non-empty sweep always survives;
+            any other value (``2.5``, ``0``, ``nan``, ``inf``) raises
+            ``ValueError``.
         score: maps ``(params, model_value)`` to a float, lower is
             better; defaults to :func:`default_score` (estimated
             makespan).
         progress: optional ``(done, total)`` callback per screened
             point.
-        batch: evaluate the screen through the sweep's ``batch_fn``
-            when it declares one (default on).  The batch layer groups
-            the model-stamped points and runs each group's closed-form
-            recurrence vectorized (:mod:`repro.engine.model_batch`),
-            which is where the model tier's raw points/sec headroom
-            actually cashes out for large grids; results are
-            bitwise-identical to the scalar loop, so scores — and the
-            kept set — cannot shift.  Any batch-path failure falls back
-            to the scalar loop silently.
+        batch: passed to :func:`~repro.runner.sweep.run_sweep` (default
+            on).  The batch layer groups the model-stamped points and
+            runs each group's closed-form recurrence vectorized
+            (:mod:`repro.engine.model_batch`), which is where the model
+            tier's raw points/sec headroom actually cashes out for large
+            grids; results are bitwise-identical to the scalar path, so
+            scores — and the kept set — cannot shift.  A failing group
+            falls back to per-point dispatch like in any sweep.
 
     Returns a :class:`PrescreenResult`; raises
     :class:`PrescreenUnsupported` when the sweep cannot be screened
-    (callers should then run it unfiltered).
+    (callers should then run it unfiltered): a point that raises
+    ``PrescreenUnsupported`` itself propagates unchanged, any other
+    point failure is wrapped in one naming the point.
 
-    The screen itself runs inline (in-process, uncached): model points
-    cost microseconds, so fan-out and memoization overheads would
-    dominate the work being screened.
+    The screen is an ordinary :func:`~repro.runner.sweep.run_sweep` of
+    the model-stamped points on the serial backend, uncached: model
+    points cost microseconds, so fan-out and memoization overheads
+    would dominate the work being screened.
     """
     total = len(sweep.points)
-    if total == 0:
-        return PrescreenResult(sweep=sweep, scored=(), kept=0)
-    if keep <= 0:
-        raise ValueError(f"keep must be positive, got {keep}")
-    n_keep = math.ceil(keep * total) if 0 < keep < 1 else int(keep)
-    n_keep = max(1, min(n_keep, total))
+    if 0 < keep < 1:
+        n_keep = math.ceil(keep * total)
+    elif keep >= 1 and float(keep).is_integer():
+        n_keep = min(int(keep), total)
+    else:
+        raise ValueError(
+            "keep must be an integral count >= 1 or a fraction in (0, 1), "
+            f"got {keep!r}"
+        )
+
+    model_points = stamp_points(sweep.points, engine="model")
+    try:
+        screened = run_sweep(
+            replace(sweep, points=model_points), backend="serial", batch=batch,
+            progress=None if progress is None
+            else lambda ev: progress(ev.index + 1, total),
+        )
+    except SweepPointError as exc:
+        if isinstance(exc.__cause__, PrescreenUnsupported):
+            raise exc.__cause__
+        raise PrescreenUnsupported(
+            f"point {exc.params!r} of sweep {sweep.name!r} failed "
+            f"under engine='model': {exc.__cause__}"
+        ) from exc.__cause__
 
     score_fn = score or default_score
-    model_points = stamp_points(sweep.points, engine="model")
-
-    values: Optional[List[Any]] = None
-    if batch and sweep.batch_fn is not None:
-        try:
-            batched = sweep.batch_fn([dict(p) for p in model_points])
-            if isinstance(batched, list) and len(batched) == total:
-                values = batched
-        except Exception:
-            values = None  # scalar fallback owns the error reporting
-
     scored: List[Tuple[float, int, ScoredPoint]] = []
-    for idx, (params, model_params) in enumerate(zip(sweep.points, model_points)):
-        try:
-            value = (
-                values[idx] if values is not None
-                else sweep.run_fn(model_params)
-            )
-        except PrescreenUnsupported:
-            raise
-        except Exception as exc:
-            raise PrescreenUnsupported(
-                f"point {dict(params)!r} of sweep {sweep.name!r} failed "
-                f"under engine='model': {exc}"
-            ) from exc
-        s = score_fn(params, value)
-        scored.append((s, idx, ScoredPoint(params, value, s)))
-        if progress is not None:
-            progress(idx + 1, total)
+    for idx, (params, outcome) in enumerate(
+        zip(sweep.points, screened.outcomes)
+    ):
+        s = score_fn(params, outcome.value)
+        scored.append((s, idx, ScoredPoint(params, outcome.value, s)))
 
     scored.sort(key=lambda item: (item[0], item[1]))
     kept_indices = sorted(idx for _, idx, _ in scored[:n_keep])

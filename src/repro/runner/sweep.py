@@ -582,9 +582,8 @@ def run_sweep(
             cache has quarantined as known-permanent failures instead
             of skipping them (a success clears the quarantine record).
         batch: allow batched dispatch (default on).  Takes effect only
-            when the sweep declares a ``batch_fn``, the backend opted in
-            (``supports_batches``), and the batch function is shippable
-            by import token; cache-miss points then go out as whole
+            when the sweep declares a ``batch_fn`` that is shippable by
+            import token; cache-miss points then go out as whole
             point-groups first, and any group that fails re-enters the
             ordinary scalar path — per-point retries, quarantine, and
             ``on_error`` semantics included.  ``--no-batch`` (or
@@ -648,21 +647,9 @@ def run_sweep(
     result = SweepResult(name=sweep.name, title=sweep.title)
     touched_shards: set = set()  # cache shard prefixes fresh puts land in
 
-    def emit(idx: int, outcome: PointOutcome) -> None:
-        if progress:
-            progress(
-                Progress(
-                    sweep=sweep.name,
-                    index=idx,
-                    total=total,
-                    params=outcome.params,
-                    cached=outcome.cached,
-                    seconds=outcome.seconds,
-                    status=outcome.status,
-                )
-            )
-
-    def emit_retry(idx: int, task) -> None:
+    def emit(
+        idx: int, status: str, seconds: float, cached: bool = False
+    ) -> None:
         if progress:
             progress(
                 Progress(
@@ -670,21 +657,29 @@ def run_sweep(
                     index=idx,
                     total=total,
                     params=sweep.points[idx],
-                    cached=False,
-                    seconds=task.seconds,
-                    status="retry",
+                    cached=cached,
+                    seconds=seconds,
+                    status=status,
                 )
             )
 
-    def succeed(idx: int, task) -> None:
-        params, key = sweep.points[idx], keys[idx] if cache else ""
-        value = _normalize(task.value)
+    def commit(
+        indices: Sequence[int], values: Sequence[Any], seconds: float,
+        batch: bool = False,
+    ) -> None:
+        """Record freshly computed values: normalise them, resolve their
+        points and write them to the cache in one ``put_many``."""
+        entries: List[Tuple[str, Mapping[str, Any], Any]] = []
+        for idx, value in zip(indices, values):
+            params, key = sweep.points[idx], keys[idx] if cache else ""
+            value = _normalize(value)
+            entries.append((key, params, value))
+            resolved[idx] = PointOutcome(
+                params, key, value, False, seconds, batch=batch
+            )
         if cache:
-            cache.put(sweep.name, key, params, value)
-            touched_shards.add(key[:2])
-        outcome = PointOutcome(params, key, value, False, task.seconds)
-        resolved[idx] = outcome
-        emit(idx, outcome)
+            cache.put_many(sweep.name, entries, batch=batch)
+            touched_shards.update(key[:2] for key, _, _ in entries)
 
     failures: List[Dict[str, Any]] = []
 
@@ -695,11 +690,10 @@ def run_sweep(
             raise SweepPointError(
                 sweep.name, params, task.error
             ) from task.exception
-        outcome = PointOutcome(
+        resolved[idx] = PointOutcome(
             params, key, None, False, task.seconds,
             status="error", error=task.error,
         )
-        resolved[idx] = outcome
         if cache and policy.retries > 0:
             # The point failed every attempt of an explicit retry
             # budget: quarantine it so resumes stop paying for it.
@@ -711,7 +705,7 @@ def run_sweep(
             {"params": dict(params), "error": _error_summary(task.error),
              "attempts": attempts}
         )
-        emit(idx, outcome)
+        emit(idx, "error", task.seconds)
         if policy.max_failures is not None and len(failures) >= policy.max_failures:
             raise CircuitOpenError(
                 FailureReport(
@@ -735,21 +729,14 @@ def run_sweep(
             keys=tuple(keys[i] for i in indices),
         )
 
-    if (
-        batch
-        and missing
-        and sweep.batch_fn is not None
-        and getattr(exec_backend, "supports_batches", False)
-    ):
+    if batch and missing and sweep.batch_fn is not None:
         token = _token_for(sweep.batch_fn)
         if token is not None:
-            # Batched dispatch: ship whole point-groups through the
-            # sweep's batch function first.  Each successful group
-            # resolves (and caches) its points here — the emit loop
-            # below still streams them in declaration order — while a
-            # failed group simply leaves its points in ``missing``, so
-            # the scalar path (with its per-point retries, quarantine,
-            # and error policy) picks them up untouched.
+            # The batch round: ship whole point-groups through the
+            # sweep's batch function first.  A successful group resolves
+            # its points here (round 0 below still emits them in
+            # declaration order); a failed group leaves its points in
+            # ``missing`` for per-point dispatch, retries and all.
             groups = _batch_groups(missing, jobs)
             items = [
                 {
@@ -764,64 +751,32 @@ def run_sweep(
                 if policy.timeout is not None
                 else None
             )
-            leftover: List[int] = []
             dispatched = _map(
                 exec_backend, _batch_entry, items, group_timeout, 0
             )
             try:
                 for group, task in zip(groups, dispatched):
                     values = task.value if task.error is None else None
-                    if not isinstance(values, list) or len(values) != len(group):
-                        leftover.extend(group)
-                        continue
-                    seconds = task.seconds / len(group)
-                    entries: List[Tuple[str, Mapping[str, Any], Any]] = []
-                    for idx, value in zip(group, values):
-                        params = sweep.points[idx]
-                        key = keys[idx] if cache else ""
-                        value = _normalize(value)
-                        if cache:
-                            entries.append((key, params, value))
-                            touched_shards.add(key[:2])
-                        resolved[idx] = PointOutcome(
-                            params, key, value, False, seconds, batch=True
-                        )
-                    if cache:
-                        # Bulk index I/O: the whole resolved group costs
-                        # one manifest append + one fsync per shard
-                        # touched, not one per point.
-                        cache.put_many(sweep.name, entries, batch=True)
-                    result.batch_groups += 1
+                    if isinstance(values, list) and len(values) == len(group):
+                        commit(group, values, task.seconds / len(group), True)
+                        result.batch_groups += 1
             finally:
                 _close(dispatched)
-            missing = leftover
+            missing = [i for i in missing if resolved[i] is None]
 
-    miss_points = [sweep.points[i] for i in missing]
-    computed = _map(
-        exec_backend, sweep.run_fn, miss_points, policy.timeout, 0,
-        _context(missing),
-    )
+    # Per-point rounds: round 0 walks the whole sweep in declaration
+    # order, emitting what is already resolved and dispatching the
+    # rest; each later round re-dispatches only the points that are
+    # still failing.
+    pending, computed = missing, None
     try:
-        pending: List[int] = []
-        for idx in range(total):
-            outcome = resolved[idx]
-            if outcome is not None:
-                emit(idx, outcome)
-                continue
-            task = next(computed)
-            if task.error is None:
-                succeed(idx, task)
-            elif policy.retries > 0:
-                pending.append(idx)
-                emit_retry(idx, task)
-            else:
-                fail(idx, task, attempts=1)
-        for round_no in range(1, policy.retries + 1):
-            if not pending:
-                break
-            delay = policy.delay(round_no, sweep.name)
-            if delay > 0:
-                time.sleep(delay)
+        for round_no in range(policy.retries + 1):
+            if round_no:
+                if not pending:
+                    break
+                delay = policy.delay(round_no, sweep.name)
+                if delay > 0:
+                    time.sleep(delay)
             _close(computed)
             computed = _map(
                 exec_backend,
@@ -832,15 +787,20 @@ def run_sweep(
                 _context(pending),
             )
             still_failing: List[int] = []
-            for idx in pending:
-                task = next(computed)
-                if task.error is None:
-                    succeed(idx, task)
-                elif round_no < policy.retries:
-                    still_failing.append(idx)
-                    emit_retry(idx, task)
-                else:
-                    fail(idx, task, attempts=round_no + 1)
+            for idx in range(total) if round_no == 0 else pending:
+                if resolved[idx] is None:
+                    task = next(computed)
+                    if task.error is None:
+                        commit([idx], [task.value], task.seconds)
+                    elif round_no < policy.retries:
+                        still_failing.append(idx)
+                        emit(idx, "retry", task.seconds)
+                        continue
+                    else:
+                        fail(idx, task, attempts=round_no + 1)
+                        continue
+                outcome = resolved[idx]
+                emit(idx, outcome.status, outcome.seconds, outcome.cached)
             pending = still_failing
     finally:
         _close(computed)  # tear down a mid-sweep pool on error paths
