@@ -1,23 +1,18 @@
-"""Cache at scale: 100k entries, sharded layout, O(shards) index reads.
+"""Cache at scale: 100k entries in one sweep log.
 
-The sharded cache exists so that million-point sweeps don't drown in
-filesystem metadata: entry files fan out under ``<sweep>/<key[:2]>/``
-(256 shard directories at most), each shard keeps its own journal, and
-index reads fold only the shards a query touches.  This module fills a
-sweep with 100k entries through the bulk ``put_many`` path and asserts
-the acceptance surface:
+Each sweep's results live in one append-only log, so a million-point
+campaign costs one file per sweep, not one per point.  This module
+fills a sweep with 100k entries through the bulk ``put_many`` path and
+asserts the acceptance surface:
 
-* the directory fan-out stays bounded (<= 256 shard dirs, ~400
-  entries/shard at 100k — no directory ever holds the whole sweep);
-* ``stats()`` (the ``cache info`` read path) answers from the shard
-  journals in a bounded wall-clock budget, without opening entry files;
-* a warm re-read answers from the fold memo — no journal re-reads;
-* resume semantics survive scale: deleting K entry files and re-running
+* ``stats()`` (the ``cache info`` read path) builds the log's index in
+  a bounded wall-clock budget, without decoding the stored results;
+* a warm re-read answers from the index memo — no log re-read;
+* resume semantics survive scale: discarding K entries and re-running
   recomputes exactly those K points, nothing else.
 
 The wall-clock budget is deliberately loose (CI runners are noisy);
-the *shape* assertions (fan-out, exact recompute set) are the real
-regression net.
+the exact recompute set is the real regression net.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from repro.runner import ResultCache, Sweep, point_key, run_sweep
 N_ENTRIES = 100_000
 
 #: Wall-clock budget for one cold ``stats()`` over the full store.
-#: Locally this reads ~256 shard journals in well under a second; the
+#: Locally this indexes the 100k-line log in well under a second; the
 #: budget allows a contended CI runner an order of magnitude of slack.
 INFO_BUDGET_S = 10.0
 
@@ -59,15 +54,7 @@ def test_cache_scale_100k(tmp_path, benchmark):
     keys = _fill(cache)
     fill_s = time.perf_counter() - t0
 
-    # Bounded fan-out: 2-hex-char shards cap the directory count at 256
-    # and spread 100k entries to ~400 per directory.
-    shard_dirs = [p for p in (tmp_path / "scale").iterdir() if p.is_dir()]
-    assert 0 < len(shard_dirs) <= 256
-    per_shard = [len(list(d.glob("*.json"))) for d in shard_dirs]
-    assert sum(per_shard) == N_ENTRIES
-    assert max(per_shard) < 4 * (N_ENTRIES // len(shard_dirs))
-
-    # Cold info read: O(shards-touched) journal folds, no entry files.
+    # Cold info read: one pass over the log, no result decoded.
     fresh = ResultCache(tmp_path)
     stats = benchmark.pedantic(
         fresh.stats, rounds=1, iterations=1, warmup_rounds=0
@@ -76,15 +63,14 @@ def test_cache_scale_100k(tmp_path, benchmark):
     fresh.stats()
     warm_s = time.perf_counter() - t0
     assert stats.entries == N_ENTRIES
-    assert dict(stats.shards_per_sweep)["scale"] == len(shard_dirs)
     cold_s = benchmark.stats.stats.min
     assert cold_s < INFO_BUDGET_S, (
         f"cold stats() took {cold_s:.2f}s over {N_ENTRIES} entries "
-        f"(budget {INFO_BUDGET_S:g}s) — index read is no longer O(shards)"
+        f"(budget {INFO_BUDGET_S:g}s)"
     )
     # The memoized re-read must be dramatically cheaper than the fold.
     assert warm_s < max(cold_s, 1e-3), (
-        f"warm stats() ({warm_s:.4f}s) not served from the fold memo "
+        f"warm stats() ({warm_s:.4f}s) not served from the index memo "
         f"(cold {cold_s:.4f}s)"
     )
 
@@ -95,12 +81,12 @@ def test_cache_scale_100k(tmp_path, benchmark):
 
     benchmark.extra_info["fill_s"] = fill_s
     benchmark.extra_info["entries_per_s"] = N_ENTRIES / fill_s
-    benchmark.extra_info["shard_dirs"] = len(shard_dirs)
+    benchmark.extra_info["log_bytes"] = cache.log_path("scale").stat().st_size
     benchmark.extra_info["warm_stats_s"] = warm_s
     print(
         f"\ncache scale: {N_ENTRIES:,} entries in {fill_s:.1f}s "
-        f"({N_ENTRIES / fill_s:,.0f} entries/s) across "
-        f"{len(shard_dirs)} shards; cold stats {cold_s * 1e3:.0f} ms, "
+        f"({N_ENTRIES / fill_s:,.0f} entries/s); "
+        f"cold stats {cold_s * 1e3:.0f} ms, "
         f"warm {warm_s * 1e6:.0f} us"
     )
 
@@ -110,7 +96,7 @@ def _cheap_point(params: dict) -> dict:
 
 
 def test_resume_recomputes_exactly_deleted(tmp_path):
-    """Resume at (reduced) scale: drop K entry files from a completed
+    """Resume at (reduced) scale: discard K entries from a completed
     sweep and a resumed run recomputes exactly those K points."""
     n, k = 2_000, 7
     sweep = Sweep(
@@ -123,8 +109,7 @@ def test_resume_recomputes_exactly_deleted(tmp_path):
     assert cold.misses == n
 
     victims = [o.key for o in cold.outcomes[:: n // k]][:k]
-    for key in victims:
-        cache.path_for(sweep.name, key).unlink()
+    assert cache.discard(sweep.name, victims) == len(victims)
 
     resumed = run_sweep(
         sweep, cache=ResultCache(tmp_path), code="bench", resume=True

@@ -17,9 +17,9 @@ Usage::
     python -m repro sweep fig10 --retries 2 --max-failures 5  # + breaker
     python -m repro sweep fig10 --chaos "fail=0.2,seed=7" --retries 2
     python -m repro sweep fig10 --resume --retry-quarantined
-    python -m repro cache info        # cache location, entries, size (O(1))
-    python -m repro cache rebuild     # re-derive manifests from entry files
-    python -m repro cache compact     # fold dead manifest history away
+    python -m repro cache info        # cache location, entries, size
+    python -m repro cache rebuild     # salvage every log: drop bad records
+    python -m repro cache compact     # fold dead log history away
     python -m repro cache clear       # drop every cached result
     python -m repro serve --jobs 4    # the long-lived sweep daemon
     python -m repro serve --status    # ask a running daemon for its state
@@ -428,11 +428,8 @@ def _cmd_sweep(argv: list[str]) -> int:
             summary = (
                 f"{name}: {result.hits} cached, {result.misses} computed"
             )
-            if result.batch_groups or result.shards:
-                summary += (
-                    f" [{result.batch_groups} groups, "
-                    f"{result.shards} shards]"
-                )
+            if result.batch_groups:
+                summary += f" [{result.batch_groups} groups]"
             if result.errors:
                 summary += f" ({result.errors} failed)"
             if result.quarantined:
@@ -451,7 +448,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         # Tear the workers down *now* — terminate, not close: close
         # would first drain everything already queued.  Cache commits
         # hold SIGINT/SIGTERM, so this lands between commits: every
-        # entry file on disk is journaled, and --resume completes the
+        # value committed is in the log, and --resume completes the
         # campaign from exactly the points that never resolved.
         print(
             "sweep interrupted: terminating workers; rerun with --resume "
@@ -534,11 +531,6 @@ def _cmd_cache(argv: list[str]) -> int:
     print(f"entries   : {stats.entries}")
     print(f"size      : {stats.bytes / 1024:.1f} KiB")
     print(f"sweeps    : {', '.join(stats.sweeps) if stats.sweeps else '(none)'}")
-    if stats.shards_per_sweep:
-        shards = ", ".join(
-            f"{name}: {count}" for name, count in stats.shards_per_sweep
-        )
-        print(f"shards    : {shards}")
     if stats.batch_entries:
         print(
             f"batched   : {stats.batch_entries} entr"

@@ -28,7 +28,6 @@ import math
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.layout import max_reuse_mu
 
@@ -157,6 +156,7 @@ def solve_k_bound(
         return math.sqrt(8.0 / 27.0), point
     if method != "numeric":
         raise ValueError(f"unknown method {method!r}")
+    from scipy.optimize import minimize
 
     def negative_k(x: np.ndarray) -> float:
         a, b, g = np.maximum(x, 1e-12)

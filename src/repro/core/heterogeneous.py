@@ -31,7 +31,6 @@ from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.layout import mu_overlap
 from repro.platform.model import Platform, Worker
@@ -138,6 +137,8 @@ def steady_state_linprog(
     Variables are the ``x_i``; maximise ``Σ x_i`` s.t. ``x_i ≤ 1/w_i``
     and ``Σ (2c_i/µ_i) x_i ≤ 1``.
     """
+    from scipy.optimize import linprog
+
     mus = list(mu) if mu is not None else chunk_sizes(platform)
     p = platform.p
     c_row = [2.0 * wk.c / mui for wk, mui in zip(platform.workers, mus)]

@@ -7,8 +7,9 @@ a pure per-point function) grouped into :class:`Campaign`\\ s;
 interchangeable :class:`~repro.runner.backends.ExecutionBackend`
 (``serial`` inline, ``process`` fresh pool, ``persistent`` warm
 workers) with results memoized in a content-addressed on-disk
-:class:`ResultCache` whose per-sweep manifests make ``cache info`` and
-``--resume`` O(1) index reads.  ``python -m repro sweep <name>`` is the
+:class:`ResultCache` that keeps each sweep in one append-only log, so a
+commit is one write and ``cache info`` and ``--resume`` read one
+index.  ``python -m repro sweep <name>`` is the
 CLI front-end; ``benchmarks/conftest.py`` reuses the same cache through
 :func:`cached_call`.  A :class:`RetryPolicy` adds the fault-tolerance
 layer — bounded retries with deterministic backoff, per-point

@@ -45,6 +45,7 @@ from __future__ import annotations
 import importlib
 import os
 import queue as queue_mod
+import signal
 from typing import (
     Any,
     Callable,
@@ -159,7 +160,13 @@ def _worker_main(inq, outq, resolve_probe) -> None:
     been orphaned: a parent that is SIGKILLed never sends the sentinel,
     and a worker blocked forever on a dead queue leaks one process per
     crash.  Reparenting (``getppid`` changes) is the exit signal.
+
+    SIGTERM goes back to the default action first: a forked worker
+    inherits its parent's handler (the CLI's raises), and a worker that
+    unwinds on ``terminate()`` instead of dying can hang the pool's
+    join.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _init_worker(resolve_probe)
     parent = os.getppid()
     poll_s = float(os.environ.get("REPRO_WORKER_ORPHAN_POLL_S", "5.0"))

@@ -15,6 +15,7 @@ fan-out without the sweep orchestrator.
 
 from __future__ import annotations
 
+import signal
 import time
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -39,8 +40,14 @@ def _install_fn(
     on_install: Optional[Callable[[], None]] = None,
     timeout: Optional[float] = None,
 ) -> None:
-    """Pool initializer: receive the point function once per worker."""
+    """Pool initializer: receive the point function once per worker.
+
+    SIGTERM goes back to the default action first, so ``terminate()``
+    kills a forked worker even when the parent installed a raising
+    handler (as the CLI does).
+    """
     global _WORKER_FN, _WORKER_TIMEOUT
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_FN = fn
     _WORKER_TIMEOUT = timeout
     if on_install is not None:

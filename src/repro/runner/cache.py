@@ -1,83 +1,77 @@
 """Content-addressed on-disk cache for sweep-point results.
 
-Layout: one JSON file per point, sharded by key prefix::
+Layout: one append-only log per sweep::
 
-    <root>/<sweep-name>/<key[:2]>/<key>.json
-    <root>/<sweep-name>/<key[:2]>/MANIFEST.jsonl
+    <root>/<sweep-name>/LOG.jsonl
 
-where ``key`` is the :func:`repro.runner.hashing.point_key` digest.
-The two-hex-character prefix bounds every directory: a sweep directory
-holds at most 256 shard directories however many entries it accrues,
-so million-point campaigns never produce a directory listing that
-chokes tooling (the bounded fan-out pattern of large content stores).
-Each shard carries its own append-only **manifest** journalling every
-entry written or healed away inside it.  Entries embed the key and
-parameters that produced them, so a cache directory is self-describing
-and human-readable.  (Entries may contain ``NaN`` tokens — Python's
-JSON dialect — where an experiment reports a missing paper value, so
-strict-JSON consumers need ``parse_constant``.)
+where every line is one compact JSON record and ``key`` is the
+:func:`repro.runner.hashing.point_key` digest::
 
-The manifests are the cache's index: ``cache info``
-(:meth:`ResultCache.stats`) and sweep resume
-(:meth:`ResultCache.manifest_keys`) fold the journals instead of
-globbing and stat-ing every entry file, so their cost is
-O(shards-touched), not O(entries); per-file folds are additionally
-memoized on ``(mtime_ns, size)`` — like ``code_version()`` — so
-repeated index reads of an unchanged shard cost one ``stat``.
-Journal records are single JSON lines::
+    {"op":"put","key":"<digest>","format":1,"params":{...},"created":T,"result":...}
+    {"op":"put","key":"<digest>",...,"result":...,"batch":true}
+    {"op":"del","key":"<digest>"}
+    {"op":"quarantine","key":"<digest>","params":{...},"error":"...","created":T}
 
-    {"op": "put", "key": "<digest>", "bytes": N, "created": T}
-    {"op": "del", "key": "<digest>"}
+A ``put`` record *is* the stored entry: it embeds the key and the
+parameters that produced the result, so a log is self-describing and
+human-readable (``NaN`` tokens — Python's JSON dialect — appear where
+an experiment reports a missing paper value, so strict-JSON consumers
+need ``parse_constant``).  The index is the fold of the log: last
+``put`` wins, ``del`` removes, and ``quarantine`` marks a key as a
+*known-permanent failure* (a point that exhausted its retry budget
+under the runner's fault-tolerance layer — see ``docs/runner.md``).  A
+quarantined key has no ``put`` record, so it can never be served as
+data, and a later successful ``put`` clears it — which is exactly what
+a ``--retry-quarantined`` run does when the point finally computes.
+The ``"batch": true`` stamp marks results of the vectorized batch path
+(provenance only; keys and results are identical either way).
 
-    {"op": "quarantine", "key": "<digest>", "params": {...}, "error": "...", "created": T}
+**Commits.**  :meth:`ResultCache.put_many` is the only write path for
+results (:meth:`ResultCache.put` is ``put_many`` of one).  It builds
+every line first, then issues a *single* ``O_APPEND`` write of all of
+them (looping on a short write) and a *single* ``fsync``.  On the main
+thread SIGINT/SIGTERM are held for the whole commit and re-delivered
+after it (:func:`_signals_held`), so a signal lands between commits,
+never inside one.  Since a record is its own journal entry, an entry
+without its ``put`` record cannot exist.
 
-and the index is the fold: last ``put`` wins, ``del`` removes, and
-``quarantine`` marks a key as a *known-permanent failure* (a point that
-exhausted its retry budget under the runner's fault-tolerance layer —
-see ``docs/runner.md``).  Quarantined keys have **no entry file**;
-they exist only in the journal, so they can never be served as data.
-A later successful ``put`` of the same key clears its quarantine
-record (the fold is last-op-wins), which is exactly what a
-``--retry-quarantined`` run does when the point finally computes.
+**Reads.**  Each :class:`ResultCache` keeps an in-memory index per
+sweep, ``key -> (offset, length)``, keyed on the log's ``(inode,
+size)``: an unchanged log costs one ``fstat``, a grown one is extended
+by reading only the new tail, and a replaced one (compaction, clear)
+is re-read.  :meth:`ResultCache.get_many` resolves a whole wave of
+keys with one open of the log and one ``pread`` per hit; every record
+read is validated (op, format, key), and a bad one is healed away with
+a ``del`` record and reported as a miss — never an exception.
 
-**One commit path.**  :meth:`ResultCache.put_many` is the only routine
-that writes entry files and journals them; :meth:`ResultCache.put` is
-``put_many`` of one.  A commit writes each entry atomically, then
-issues a *single* ``O_APPEND`` write and a *single* ``fsync`` per
-touched shard manifest, so a 256-point batch costs at most a handful
-of manifest syncs however it hashes, and a scalar put costs one.  On
-the main thread the commit holds SIGINT/SIGTERM and re-delivers them
-once every written entry has its ``put`` record
-(:func:`_signals_held`).  :meth:`ResultCache.get_many` is the bulk
-read.
+**Tail rule.**  Bytes after the last newline are ignored and lines that
+do not parse are skipped, so a writer killed mid-record costs only that
+record.  A commit that finds the log not ending in ``\\n`` (one
+``pread`` of the last byte) starts its write with one, so new records
+never glue onto a torn tail.
 
-Robustness rules:
+**Locking.**  Appenders hold ``flock(LOCK_SH)`` — appends stay
+concurrent, each one a single ``write`` — and after taking the lock
+check that their descriptor's inode is still the one at the log's path,
+reopening if a compaction replaced it meanwhile.  Compaction holds
+``LOCK_EX`` and runs snapshot → write temp → ``fsync`` →
+:func:`os.replace`, so it is lossless while other processes append
+(the serve daemon and a remote client committing into one cache
+directory, pool workers writing ``bench`` baselines through
+:func:`cached_call`), and a crash mid-compaction leaves the old log
+whole.  Compaction keeps the last ``put`` per live key plus the live
+quarantine records; it runs explicitly (``python -m repro cache
+compact``), opportunistically when an index read sees dead records
+outnumber live ones, and as a forced *salvage* that also drops records
+that fail validation (``cache rebuild``).
 
-* entry writes are atomic (temp file + :func:`os.replace`), so a killed
-  run never leaves a half-written entry;
-* unreadable, truncated, or key-mismatched entries are treated as
-  misses and deleted (with a ``del`` journal record), so a corrupted
-  cache heals itself on the next run;
-* manifest appends are single ``O_APPEND`` writes, safe under
-  concurrent writers;
-* a missing, torn, or corrupt manifest is rebuilt from the entry
-  files themselves (:meth:`ResultCache.rebuild_manifest`), shard by
-  shard: the entry files are always the ground truth, the manifests
-  only an index over them.  The manifests being advisory is also what
-  makes them resume-safe (a stale listing is re-validated by
-  :meth:`get` before anything trusts it);
-* a journal dominated by dead history (overwritten puts, ``del``
-  records, cleared quarantines) is **compacted** down to its fold —
-  explicitly via ``python -m repro cache compact``
-  (:meth:`ResultCache.compact`), or opportunistically whenever an
-  index read notices the imbalance.  Compaction rewrites one shard
-  journal at a time to a temp file and atomically renames it into
-  place, so a crash mid-compaction leaves the old journal intact,
-  never a torn hybrid.
+A cache directory from an older one-file-per-entry layout has no log,
+so it reads as a cold miss; ``cache clear`` removes it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -88,20 +82,18 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any, Container, Dict, Iterable, Iterator, List, Mapping, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from repro.runner.hashing import point_key
 
 __all__ = ["CacheStats", "ResultCache", "cached_call", "default_cache_dir"]
 
 _FORMAT = 1  # bump to invalidate every existing entry
-_MANIFEST = "MANIFEST.jsonl"
-
-#: A folded journal: ``(live {key: bytes}, quarantine {key: record},
-#: records-in-journal, batch-stamped live keys)``.
-_Fold = Tuple[Dict[str, int], Dict[str, dict], int, Set[str]]
+_LOG = "LOG.jsonl"
+#: Every put record starts with these bytes (``put_many`` writes the
+#: op and key first), so the index slices keys without decoding JSON.
+_PUT_PREFIX = b'{"op":"put","key":"'
+_BATCH_SUFFIX = b',"batch":true}'
 
 
 def _cache_disabled() -> bool:
@@ -122,18 +114,12 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sweeps"
 
 
-def shard_prefix(key: str) -> str:
-    """The shard directory name for ``key`` — its first two characters.
-
-    ``point_key`` digests are 64 hex characters, giving 256 shards; the
-    degenerate short-key case still lands in a well-formed directory.
-    """
-    return key[:2] if len(key) >= 2 else (key + "__")[:2]
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _line(record: Mapping[str, Any]) -> str:
-    """One journal line: compact JSON plus the newline."""
-    return json.dumps(record, separators=(",", ":")) + "\n"
+def _line(record: Mapping[str, Any]) -> bytes:
+    """One log line: compact JSON plus the newline."""
+    return (_encode(record) + "\n").encode()
 
 
 @contextmanager
@@ -144,7 +130,7 @@ def _signals_held() -> Iterator[None]:
     the previous handlers come back and every recorded signal is
     re-delivered with :func:`signal.raise_signal`, so a raising handler
     (the CLI's, or ``KeyboardInterrupt``) fires at the block boundary
-    instead of between an entry write and its journal record.  Off the
+    instead of between a commit's write and its ``fsync``.  Off the
     main thread — where handlers cannot be installed and Python never
     runs them anyway — the block runs unchanged, as it does when a
     handler was installed outside Python and so cannot be restored.
@@ -177,52 +163,102 @@ def _signals_held() -> Iterator[None]:
             signal.raise_signal(signum)
 
 
-def _fold_lines(text: str) -> _Fold | None:
-    """Fold journal text into an index, ``None`` on any unparsable line
-    (torn concurrent write, manual edit) — the caller rebuilds from the
-    entry files."""
-    live: Dict[str, int] = {}
-    quar: Dict[str, dict] = {}
-    batch_keys: Set[str] = set()
-    records = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+def _pread_all(fd: int, size: int, offset: int) -> bytes:
+    """``size`` bytes at ``offset`` (fewer only at end of file)."""
+    chunks = []
+    while size > 0:
+        chunk = os.pread(fd, size, offset)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+        offset += len(chunk)
+    return b"".join(chunks)
+
+
+def _valid_put(data: bytes, key: str) -> Any:
+    """Decode a put record of ``key``; raises ``ValueError``/``KeyError``/
+    ``TypeError`` on anything else (torn, tampered, stale format)."""
+    record = json.loads(data)
+    if (record["op"], record["format"], record["key"]) != ("put", _FORMAT, key):
+        raise ValueError("stale or mismatched cache record")
+    if "result" not in record:
+        raise KeyError("result")
+    return record
+
+
+class _Index:
+    """The fold of one sweep log up to byte ``end`` (its last newline).
+
+    ``live`` maps key to the ``(offset, length)`` of its last put
+    record, ``quar`` holds quarantine records (live keys outrank them),
+    ``records`` counts every non-blank line, parsable or not.  ``tail``
+    keeps the last bytes before ``end`` so an in-place rewrite of the
+    file is told apart from appends (:meth:`continues`).
+    """
+
+    __slots__ = (
+        "ino", "size", "end", "tail", "live", "batch", "quar", "records",
+    )
+
+    def __init__(self, ino: int = -1) -> None:
+        self.ino = ino
+        self.size = 0
+        self.end = 0
+        self.tail = b""
+        self.live: Dict[str, Tuple[int, int]] = {}
+        self.batch: Set[str] = set()
+        self.quar: Dict[str, dict] = {}
+        self.records = 0
+
+    def scan(self, data: bytes) -> None:
+        """Fold the complete lines of ``data``, which starts at ``end``;
+        bytes after its last newline wait for the next scan."""
+        offset = self.end
+        complete = data.rfind(b"\n") + 1
+        for line in data[:complete].split(b"\n")[:-1]:
+            if line.strip():
+                self.records += 1
+                self._apply(line, offset)
+            offset += len(line) + 1
+        self.end = offset
+        self.tail = (self.tail + data[max(0, complete - 32):complete])[-32:]
+
+    def continues(self, fd: int) -> bool:
+        """Whether the file at ``fd`` still holds the bytes indexed."""
+        start = self.end - len(self.tail)
+        return os.pread(fd, len(self.tail), start) == self.tail
+
+    def _apply(self, line: bytes, offset: int) -> None:
+        if line.startswith(_PUT_PREFIX):
+            stop = line.find(b'"', len(_PUT_PREFIX))
+            raw = line[len(_PUT_PREFIX):stop]
+            if stop > 0 and b"\\" not in raw and line.endswith(b"}"):
+                self._put(raw.decode(), offset, line)
+                return
         try:
             record = json.loads(line)
             op, key = record["op"], record["key"]
         except (ValueError, KeyError, TypeError):
-            return None
-        records += 1
+            return  # torn or foreign line: salvage the rest
         if op == "put":
-            live[key] = int(record.get("bytes", 0))
-            quar.pop(key, None)  # a success clears the quarantine
-            if record.get("batch"):
-                batch_keys.add(key)
-            else:
-                batch_keys.discard(key)  # last put wins
+            self._put(key, offset, line)
         elif op == "del":
-            live.pop(key, None)
-            batch_keys.discard(key)
+            self.live.pop(key, None)
+            self.batch.discard(key)
         elif op == "quarantine":
-            quar[key] = record
+            self.quar[key] = record
+
+    def _put(self, key: str, offset: int, line: bytes) -> None:
+        self.live[key] = (offset, len(line))
+        self.quar.pop(key, None)  # a success clears the quarantine
+        if line.endswith(_BATCH_SUFFIX):
+            self.batch.add(key)
         else:
-            return None
-    return live, quar, records, batch_keys
+            self.batch.discard(key)  # last put wins
 
-
-def _fold_records(fold: _Fold) -> str:
-    """Serialise a fold back to minimal journal text (compaction and
-    rebuild both converge here so the formats agree)."""
-    live, quar, _, batch_keys = fold
-    return "".join(
-        _line(
-            {"op": "put", "key": key, "bytes": size, "batch": True}
-            if key in batch_keys
-            else {"op": "put", "key": key, "bytes": size}
-        )
-        for key, size in sorted(live.items())
-    ) + "".join(_line(record) for _, record in sorted(quar.items()))
+    def quarantined(self) -> Dict[str, dict]:
+        return {k: r for k, r in self.quar.items() if k not in self.live}
 
 
 @dataclass(frozen=True)
@@ -233,11 +269,9 @@ class CacheStats:
     CLI can surface known-permanent failures per namespace without
     another index read.  ``batch_entries`` counts live entries whose
     last ``put`` came from the vectorized batch path (the ``"batch":
-    true`` manifest stamp — see :meth:`ResultCache.put`), with
+    true`` stamp — see :meth:`ResultCache.put`), with
     ``batch_per_sweep`` the per-namespace breakdown; everything else
-    was computed by the scalar per-point path.  ``shards_per_sweep``
-    reports each namespace's shard-directory count so fan-out is
-    visible from ``cache info``.
+    was computed by the scalar per-point path.
     """
 
     entries: int
@@ -247,100 +281,216 @@ class CacheStats:
     per_sweep: Tuple[Tuple[str, int, int], ...] = ()
     batch_entries: int = 0
     batch_per_sweep: Tuple[Tuple[str, int], ...] = ()
-    shards_per_sweep: Tuple[Tuple[str, int], ...] = ()
 
 
 class ResultCache:
-    """A directory of content-addressed sweep-point results."""
+    """A directory of content-addressed sweep-point results.
+
+    One instance may serve several threads (the serve daemon's
+    connection and dispatch threads share one): a lock guards the
+    in-memory indexes, and appends need no lock of their own.
+    """
 
     def __init__(self, root: Path | str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        # str(path) -> ((mtime_ns, size), fold): index reads of an
-        # unchanged journal cost one stat (invalidated explicitly by
-        # every write path as well, belt and braces).
-        self._fold_memo: Dict[str, Tuple[Tuple[int, int], _Fold]] = {}
+        self._indexes: Dict[str, _Index] = {}
+        self._lock = threading.RLock()
 
-    def path_for(self, sweep: str, key: str) -> Path:
-        """Entry location for ``key`` in ``sweep``."""
-        return self.root / sweep / shard_prefix(key) / f"{key}.json"
+    def log_path(self, sweep: str) -> Path:
+        """The append-only log holding every record of ``sweep``."""
+        return self.root / sweep / _LOG
 
-    def shard_manifest_path(self, sweep: str, prefix: str) -> Path:
-        """The journal of one shard directory."""
-        return self.root / sweep / prefix / _MANIFEST
+    # -- the log --------------------------------------------------------
 
-    def _shard_dirs(self, sweep: str) -> List[Path]:
-        """The sweep's shard directories (two-character children)."""
-        target = self.root / sweep
+    def _sync(self, sweep: str, fd: int) -> _Index:
+        """The index of the log open at ``fd``, extended by its new tail
+        (callers hold ``_lock`` for as long as they use it)."""
+        st = os.fstat(fd)
+        index = self._indexes.get(sweep)
+        if (
+            index is None or index.ino != st.st_ino
+            or st.st_size < index.size
+            or (st.st_size != index.size and not index.continues(fd))
+        ):
+            index = self._indexes[sweep] = _Index(st.st_ino)
+        if st.st_size != index.size:
+            index.scan(_pread_all(fd, st.st_size - index.end, index.end))
+            index.size = st.st_size
+        return index
+
+    def _index(self, sweep: str) -> _Index:
+        """The sweep's current index (empty when it has no log)."""
         try:
-            return sorted(
-                child for child in target.iterdir()
-                if len(child.name) == 2 and child.is_dir()
-            )
+            fd = os.open(self.log_path(sweep), os.O_RDONLY)
         except OSError:
-            return []
+            self._indexes.pop(sweep, None)
+            return _Index()
+        try:
+            return self._sync(sweep, fd)
+        finally:
+            os.close(fd)
+
+    def _locked(self, path: Path, mode: int, flags: int) -> int:
+        """Open ``path`` and ``flock`` it, retrying until the locked
+        descriptor is the file at ``path`` (a compaction may replace it
+        between the open and the lock).  Closing the fd unlocks."""
+        while True:
+            try:
+                fd = os.open(path, flags, 0o644)
+            except FileNotFoundError:
+                if not flags & os.O_CREAT:
+                    raise
+                path.parent.mkdir(parents=True, exist_ok=True)
+                continue
+            try:
+                fcntl.flock(fd, mode)
+                if os.stat(path).st_ino == os.fstat(fd).st_ino:
+                    return fd
+            except FileNotFoundError:
+                pass  # removed meanwhile: open (and create) afresh
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)
+
+    def _append(self, sweep: str, data: bytes, fsync: bool = False) -> None:
+        """Append ``data`` (whole lines) with one ``O_APPEND`` write."""
+        fd = self._locked(
+            self.log_path(sweep), fcntl.LOCK_SH,
+            os.O_RDWR | os.O_CREAT | os.O_APPEND,
+        )
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data  # seal a torn tail off
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _compact(self, sweep: str, salvage: bool = False) -> int:
+        """Rewrite the log down to its fold; returns records dropped.
+
+        Holds ``LOCK_EX`` from the snapshot to the rename, so no append
+        lands in the old file unseen.  ``salvage`` also drops put
+        records that fail validation and rewrites even when nothing is
+        dead.  Best-effort: a read-only store or a failed rename leaves
+        the old log as it was and reports 0.
+        """
+        path = self.log_path(sweep)
+        try:
+            fd = self._locked(path, fcntl.LOCK_EX, os.O_RDONLY)
+        except OSError:
+            return 0
+        try:
+            data = _pread_all(fd, os.fstat(fd).st_size, 0)
+            index = _Index()
+            index.scan(data)
+            kept = []
+            for key, (offset, length) in sorted(
+                index.live.items(), key=lambda item: item[1]
+            ):
+                record = data[offset:offset + length]
+                if salvage:
+                    try:
+                        _valid_put(record, key)
+                    except (ValueError, KeyError, TypeError):
+                        continue
+                kept.append(record + b"\n")
+            kept.extend(_line(r) for r in index.quarantined().values())
+            dropped = index.records - len(kept)
+            if not salvage and dropped <= 0:
+                return 0
+            if not self._replace(path, b"".join(kept)):
+                return 0
+            return dropped
+        finally:
+            os.close(fd)
+            self._indexes.pop(sweep, None)
+
+    @staticmethod
+    def _replace(path: Path, data: bytes) -> bool:
+        """Atomically swap the file at ``path`` for ``data``: temp file,
+        ``fsync``, rename.  Returns False, persisting nothing, when any
+        step fails (e.g. a read-only store)."""
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except OSError:
+            return False
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except OSError:
+            Path(tmp).unlink(missing_ok=True)
+            return False
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+        return True
+
+    def _view(self, sweep: str) -> _Index:
+        """The index, compacted first when dead records outnumber live
+        ones (with a small floor so tiny logs never churn)."""
+        index = self._index(sweep)
+        live = len(index.live) + len(index.quarantined())
+        if index.records - live > max(live, 4) and self._compact(sweep):
+            index = self._index(sweep)
+        return index
 
     # -- entries --------------------------------------------------------
 
     def get(self, sweep: str, key: str) -> Tuple[Any, bool]:
         """Look up ``key``; returns ``(value, hit)``.
 
-        A malformed entry (truncated write, manual tampering, format
-        drift) is deleted and reported as a miss — never an exception.
+        A malformed record (torn write, manual tampering, format drift)
+        is healed away and reported as a miss — never an exception.
         """
-        path = self.path_for(sweep, key)
-        try:
-            entry = json.loads(path.read_text())
-            if entry["format"] != _FORMAT or entry["key"] != key:
-                raise ValueError("stale or mismatched cache entry")
-            return entry["result"], True
-        except FileNotFoundError:
-            return None, False
-        except (OSError, ValueError, KeyError, TypeError):
-            return self._heal_entry(sweep, key, path)
+        hits = self.get_many(sweep, (key,))
+        return (hits[key], True) if key in hits else (None, False)
 
-    def _heal_entry(
-        self, sweep: str, key: str, path: Path
-    ) -> Tuple[Any, bool]:
-        """Delete a bad entry and journal the del in its shard."""
+    def get_many(self, sweep: str, keys: Iterable[str]) -> Dict[str, Any]:
+        """Bulk lookup; returns ``{key: value}`` for the hits only.
+
+        One open of the log and one ``pread`` per indexed key.  Misses
+        (and healed-away bad records) are simply absent, so callers
+        resolve a whole resume wave with one call and compute the
+        complement.
+        """
         try:
-            path.unlink(missing_ok=True)
-            # Record the heal — but never *create* a manifest out of a
-            # lone del record: an index-less shard must keep looking
-            # index-less so the next read rebuilds it in full.
-            manifest = self.shard_manifest_path(sweep, shard_prefix(key))
-            if manifest.exists():
-                self._append_lines(manifest, _line({"op": "del", "key": key}))
+            fd = os.open(self.log_path(sweep), os.O_RDONLY)
         except OSError:
-            pass  # e.g. a read-only shared cache: miss, don't crash
-        return None, False
-
-    def _entry_blob(
-        self, sweep: str, key: str, params: Mapping[str, Any], value: Any,
-        batch: bool,
-    ) -> bytes:
-        record: Dict[str, Any] = {
-            "format": _FORMAT,
-            "key": key,
-            "sweep": sweep,
-            "params": dict(params),
-            "created": time.time(),
-            "result": value,
-        }
-        if batch:
-            record["batch"] = True
-        return json.dumps(record, indent=None).encode("utf-8")
-
-    def _write_entry(self, path: Path, data: bytes) -> None:
-        """Atomic entry write: temp file in the target dir + rename."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            return {}
+        hits: Dict[str, Any] = {}
+        bad: List[str] = []
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+            with self._lock:
+                live = self._sync(sweep, fd).live
+                for key in keys:
+                    where = live.get(key)
+                    if where is None:
+                        continue
+                    try:
+                        record = _valid_put(
+                            os.pread(fd, where[1], where[0]), key
+                        )
+                    except (ValueError, KeyError, TypeError):
+                        bad.append(key)
+                        continue
+                    hits[key] = record["result"]
+        finally:
+            os.close(fd)
+        if bad:
+            try:
+                self.discard(sweep, bad)
+            except OSError:
+                pass  # e.g. a read-only shared cache: miss, don't crash
+        return hits
 
     def put(
         self,
@@ -350,21 +500,18 @@ class ResultCache:
         value: Any,
         batch: bool = False,
     ) -> None:
-        """Store ``value`` atomically; raises ``TypeError`` if not JSON-able.
+        """Store ``value``; raises ``TypeError`` if it is not JSON-able.
 
         A commit of one entry through :meth:`put_many`, with the same
-        durability: one journal append and one ``fsync``.
+        durability: one append and one ``fsync``.
 
         ``batch`` marks the value as computed by the vectorized batch
-        path (:mod:`repro.engine.batch` via a sweep's ``batch_fn``): the
-        entry payload and its manifest ``put`` record gain a ``"batch":
-        true`` stamp so ``cache info`` can report batch-vs-scalar
-        provenance.  The stamp is pure provenance — the key, lookup, and
-        the ``result`` payload are identical either way, so batch and
-        scalar runs stay interchangeable cache-wise.  (Like the manifest
-        itself the stamp is advisory: :meth:`rebuild_manifest` re-derives
-        the index from entry *stats* without opening files, so a rebuilt
-        journal reports every entry as scalar.)
+        path (:mod:`repro.engine.batch` via a sweep's ``batch_fn``): its
+        put record gains a ``"batch": true`` stamp so ``cache info`` can
+        report batch-vs-scalar provenance.  The stamp is pure provenance
+        — the key, lookup, and the ``result`` payload are identical
+        either way, so batch and scalar runs stay interchangeable
+        cache-wise.
         """
         self.put_many(sweep, [(key, params, value)], batch)
 
@@ -376,340 +523,88 @@ class ResultCache:
     ) -> int:
         """Commit ``(key, params, value)`` triples; returns the count stored.
 
-        The cache's only write path.  Every entry file is written
-        atomically on its own, then the put records are grouped by
-        shard and each touched shard manifest receives **one**
-        ``O_APPEND`` write followed by **one** ``fsync``.  The journal
-        step runs even when an entry write fails part-way (a value that
-        is not JSON-able, a full disk), so every entry file a commit
-        leaves on disk has its ``put`` record; on the main thread
-        SIGINT/SIGTERM are held for the whole commit
+        The cache's only write path for results.  Every put record is
+        built first — a value that is not JSON-able raises
+        ``TypeError`` before anything is written — then all of them go
+        to the log in one ``O_APPEND`` write followed by one ``fsync``.
+        On the main thread SIGINT/SIGTERM are held for the whole commit
         (:func:`_signals_held`) and re-delivered after it.
         """
-        by_shard: Dict[str, List[str]] = {}
-        written: Set[str] = set()
         with _signals_held():
-            try:
-                for key, params, value in entries:
-                    data = self._entry_blob(sweep, key, params, value, batch)
-                    prefix = shard_prefix(key)
-                    self._write_entry(self.path_for(sweep, key), data)
-                    record: Dict[str, Any] = {
-                        "op": "put", "key": key, "bytes": len(data),
-                        "created": time.time(),
-                    }
-                    if batch:
-                        record["batch"] = True
-                    try:
-                        # A rebuild may index this entry from its file
-                        # (without the batch stamp); the queued record
-                        # still appends and wins under last-op-fold.
-                        self._index_preexisting_shard(
-                            sweep, prefix, key, written
-                        )
-                    except OSError:
-                        pass
-                    by_shard.setdefault(prefix, []).append(_line(record))
-                    written.add(key)
-            finally:
-                for prefix, lines in by_shard.items():
-                    try:
-                        self._append_lines(
-                            self.shard_manifest_path(sweep, prefix),
-                            "".join(lines),
-                            fsync=True,
-                        )
-                    except OSError:
-                        pass  # entry files are the ground truth
-        return len(written)
+            created = time.time()
+            lines = [
+                _line({
+                    "op": "put", "key": key, "format": _FORMAT,
+                    "params": dict(params), "created": created,
+                    "result": value, **({"batch": True} if batch else {}),
+                })
+                for key, params, value in entries
+            ]
+            if lines:
+                self._append(sweep, b"".join(lines), fsync=True)
+        return len(lines)
 
-    def get_many(self, sweep: str, keys: Iterable[str]) -> Dict[str, Any]:
-        """Bulk lookup; returns ``{key: value}`` for the hits only.
+    def discard(self, sweep: str, keys: Iterable[str]) -> int:
+        """Drop ``keys`` by appending one ``del`` record each (one
+        write); returns the number of records appended."""
+        lines = [_line({"op": "del", "key": key}) for key in keys]
+        if lines:
+            self._append(sweep, b"".join(lines))
+        return len(lines)
 
-        Misses (and healed-away corrupt entries) are simply absent, so
-        callers resolve a whole resume wave with one call and compute
-        the complement.
-        """
-        hits: Dict[str, Any] = {}
-        for key in keys:
-            value, hit = self.get(sweep, key)
-            if hit:
-                hits[key] = value
-        return hits
-
-    def _index_preexisting_shard(
-        self, sweep: str, prefix: str, key: str, ignore: Container[str]
-    ) -> None:
-        """Heal an index-less shard that already holds *other* entries.
-
-        First write into a shard directory whose manifest vanished:
-        rebuild the shard's journal from its files, which indexes the
-        entry just written too.  ``put_many`` passes the keys it has
-        already written this call as ``ignore`` — its own
-        not-yet-journaled entries must not masquerade as a pre-existing
-        index-less shard.
-        """
-        if self.shard_manifest_path(sweep, prefix).exists():
-            return
-        if any(
-            p.suffix == ".json"
-            and p.name != f"{key}.json"
-            and p.stem not in ignore
-            for p in (self.root / sweep / prefix).iterdir()
-        ):
-            self._rebuild_shard(sweep, prefix)
-
-    # -- manifest -------------------------------------------------------
-
-    def _append_lines(
-        self, path: Path, lines: str, fsync: bool = False
-    ) -> None:
-        """Append journal text with a single atomic ``O_APPEND`` write."""
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, lines.encode())
-            if fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
-        self._fold_memo.pop(str(path), None)
-
-    def _fold_file(self, path: Path) -> _Fold | None:
-        """Memoized fold of one journal file.
-
-        ``None`` when the file is missing or torn.  The memo key is the
-        ``(mtime_ns, size)`` snapshot — the ``code_version()`` trick —
-        so an unchanged journal re-folds for the price of a ``stat``;
-        every in-process write additionally drops the memo outright.
-        """
-        spath = str(path)
-        try:
-            st = os.stat(path)
-        except OSError:
-            self._fold_memo.pop(spath, None)
-            return None
-        sig = (st.st_mtime_ns, st.st_size)
-        memo = self._fold_memo.get(spath)
-        if memo is not None and memo[0] == sig:
-            return memo[1]
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        fold = _fold_lines(text)
-        if fold is None:
-            self._fold_memo.pop(spath, None)
-        else:
-            self._fold_memo[spath] = (sig, fold)
-        return fold
-
-    def _fold_shard(self, sweep: str, prefix: str) -> _Fold:
-        """One shard's fold.
-
-        A missing/torn journal is rebuilt from the shard's entry files,
-        and a journal dominated by dead history is compacted.  Always
-        returns a (possibly empty) fold — on a read-only store the
-        derived index is served without being persisted.
-        """
-        path = self.shard_manifest_path(sweep, prefix)
-        fold = self._fold_file(path)
-        if fold is None:
-            live = self._rebuild_shard(sweep, prefix)
-            fold = self._fold_file(path)
-            if fold is None:
-                # Could not persist (read-only store): serve the
-                # derived index; quarantine lines, if any, are gone
-                # with the unreadable journal.
-                return live, {}, len(live), set()
-            return fold
-        if self._wants_compaction(fold):
-            self._compact_shard(sweep, prefix)
-            return self._fold_file(path) or fold
-        return fold
-
-    def _folded_sweep(self, sweep: str) -> _Fold:
-        """The sweep's index: the union of its shard folds.
-
-        ``records`` sums every journal line so callers can see dead
-        weight.  Cost is O(shards-touched): one directory listing plus
-        one (memoized) fold per journal present.
-        """
-        live: Dict[str, int] = {}
-        quar: Dict[str, dict] = {}
-        batch_keys: Set[str] = set()
-        records = 0
-        for shard in self._shard_dirs(sweep):
-            slive, squar, srecords, sbatch = self._fold_shard(
-                sweep, shard.name
-            )
-            live.update(slive)
-            quar.update(squar)
-            batch_keys |= sbatch
-            records += srecords
-        for key in live:
-            quar.pop(key, None)  # a live entry outranks any quarantine
-        return live, quar, records, batch_keys
-
-    def _rebuild_shard(self, sweep: str, prefix: str) -> Dict[str, int]:
-        """Re-derive one shard's journal from its entry files.
-
-        Keys are the entry filenames and sizes come from ``stat``, so
-        no entry is opened.  Quarantine records exist *only* in the
-        journal, so every parsable quarantine line of the old (possibly
-        torn) manifest is salvaged — a single corrupt line must not
-        amnesty a known-permanent failure.  The new manifest is written
-        atomically; on a read-only cache the derived index is returned
-        without being persisted.
-        """
-        target = self.root / sweep / prefix
-        live: Dict[str, int] = {}
-        if not target.is_dir():
-            return live
-        for path in target.glob("*.json"):
-            try:
-                live[path.stem] = path.stat().st_size
-            except OSError:
-                continue  # vanished mid-scan
-        manifest = self.shard_manifest_path(sweep, prefix)
-        quar: Dict[str, dict] = {}
-        try:
-            old = manifest.read_text()
-        except OSError:
-            old = ""
-        for line in old.splitlines():
-            try:
-                record = json.loads(line)
-                op, key = record["op"], record["key"]
-            except (ValueError, KeyError, TypeError):
-                continue  # salvage what parses, skip the torn line
-            if op == "quarantine":
-                quar[key] = record
-            elif op == "put":
-                quar.pop(key, None)
-        for key in live:
-            quar.pop(key, None)  # an entry file on disk outranks it
-        self._replace_journal(manifest, _fold_records((live, quar, 0, set())))
-        return live
-
-    def _replace_journal(self, path: Path, text: str) -> bool:
-        """Atomically swap a journal's content: temp file + rename, so a
-        crash at any instant leaves either the old or the new journal,
-        never a torn hybrid.  Returns False, persisting nothing, on a
-        read-only store."""
-        try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError:
-            return False  # e.g. a read-only shared cache
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            Path(tmp).unlink(missing_ok=True)
-            return False
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        finally:
-            self._fold_memo.pop(str(path), None)
-        return True
-
-    def rebuild_manifest(self, sweep: str) -> Dict[str, int]:
-        """Re-derive every shard journal of ``sweep`` from its entry
-        files; returns the live index.  A concurrent append racing a
-        rebuild loses at most its own record, which the next ``put``
-        of that key — or the next rebuild — restores.
-        """
-        live: Dict[str, int] = {}
-        for shard in self._shard_dirs(sweep):
-            live.update(self._rebuild_shard(sweep, shard.name))
-        return live
+    # -- index ----------------------------------------------------------
 
     def manifest(self, sweep: str) -> Dict[str, int]:
-        """The sweep's live index, ``{key: bytes}`` (healed if needed).
+        """The sweep's live index, ``{key: record bytes}``.
 
-        Opportunistically compacts any journal whose dead history
-        (puts overwritten, ``del`` records, cleared quarantines)
-        outnumbers its live entries, so a churned sweep's index read
-        stays O(shards-touched) no matter how long its history grew.
+        Opportunistically compacts a log whose dead history (puts
+        overwritten, ``del`` records, cleared quarantines, salvaged
+        lines) outnumbers its live records.
         """
-        live, _, _, _ = self._folded_sweep(sweep)
-        return live
+        with self._lock:
+            return {k: n for k, (_, n) in self._view(sweep).live.items()}
 
-    @staticmethod
-    def _wants_compaction(fold: _Fold) -> bool:
-        """Whether a folded journal is worth rewriting: more dead
-        records than live ones, with a small floor so tiny journals
-        never churn."""
-        live, quar, records, _ = fold
-        dead = records - len(live) - len(quar)
-        return dead > max(len(live) + len(quar), 4)
+    def manifest_keys(self, sweep: str) -> Set[str]:
+        """Keys the index lists for ``sweep`` — the resume fast path.
 
-    def _compact_shard(self, sweep: str, prefix: str) -> int:
-        """Rewrite one shard journal down to its fold; returns dead
-        records dropped.  Crash-safe (:meth:`_replace_journal`) and
-        best-effort on read-only caches."""
-        path = self.shard_manifest_path(sweep, prefix)
-        fold = self._fold_file(path)
-        if fold is None:
-            return 0
-        live, quar, records, _ = fold
-        dead = records - len(live) - len(quar)
-        if dead <= 0 or not self._replace_journal(path, _fold_records(fold)):
-            return 0
-        return dead
+        Listings are advisory: callers must still :meth:`get` (which
+        validates) before trusting one.
+        """
+        return set(self.manifest(sweep))
+
+    def rebuild_manifest(self, sweep: str) -> Dict[str, int]:
+        """Salvage the log: a forced compaction that also drops records
+        failing validation; returns the live index."""
+        self._compact(sweep, salvage=True)
+        return self.manifest(sweep)
 
     def compact(self, sweep: str) -> int:
-        """Fold dead history away, journal by journal; returns the
-        total number of dead records dropped.
+        """Fold dead history away; returns the number of records dropped.
 
-        Each shard journal is rewritten independently and atomically,
-        so a crash mid-compaction affects at most the one journal being
-        renamed — and that one is either fully old or fully folded (the
-        torn-compaction recovery guarantee).  Missing or torn journals
-        are rebuilt instead (already minimal, so they count no dead
-        records).
+        The log is rewritten to a temp file and renamed into place under
+        an exclusive lock, so a crash mid-compaction leaves the old log
+        whole and concurrent appends are never lost.
         """
-        dead = 0
-        for shard in self._shard_dirs(sweep):
-            path = self.shard_manifest_path(sweep, shard.name)
-            if self._fold_file(path) is None:
-                self._rebuild_shard(sweep, shard.name)
-            else:
-                dead += self._compact_shard(sweep, shard.name)
-        return dead
+        return self._compact(sweep)
 
     # -- quarantine -----------------------------------------------------
 
     def quarantine(
         self, sweep: str, key: str, params: Mapping[str, Any], error: str
     ) -> None:
-        """Journal ``key`` as a known-permanent failure.
+        """Record ``key`` as a known-permanent failure.
 
         Written by the runner when a point exhausts its retry budget
         under ``on_error="keep"``: resumes then skip the point instead
         of re-failing it (``--retry-quarantined`` opts back in), and
-        ``cache info`` surfaces the count.  The record lives in the
-        key's *shard* manifest, so it follows the entry through every
-        per-shard operation.  Best-effort like every index write — a
-        read-only cache loses the record, never the run.
+        ``cache info`` surfaces the count.  Best-effort like every index
+        write — a read-only cache loses the record, never the run.
         """
-        prefix = shard_prefix(key)
-        shard_dir = self.root / sweep / prefix
         try:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            if not self.shard_manifest_path(sweep, prefix).exists() and any(
-                p.suffix == ".json" for p in shard_dir.iterdir()
-            ):
-                # Index-less shard: index the entries first so the new
-                # journal is a complete fold.
-                self._rebuild_shard(sweep, prefix)
-            self._append_lines(
-                self.shard_manifest_path(sweep, prefix),
-                _line({"op": "quarantine", "key": key,
-                       "params": dict(params), "error": str(error),
-                       "created": time.time()}),
-            )
+            self._append(sweep, _line({
+                "op": "quarantine", "key": key, "params": dict(params),
+                "error": str(error), "created": time.time(),
+            }))
         except OSError:
             pass
 
@@ -720,101 +615,88 @@ class ResultCache:
         ``error`` string.  Keys with a live entry (a later successful
         put) are never listed.
         """
-        _, quar, _, _ = self._folded_sweep(sweep)
-        return quar
-
-    def manifest_keys(self, sweep: str) -> Set[str]:
-        """Keys the index lists for ``sweep`` — the resume fast path.
-
-        One (memoized) journal fold per shard touched, O(1) in the
-        number of *other* sweeps' entries and independent of entry
-        sizes.  Listings are advisory: callers must still :meth:`get`
-        (which validates) before trusting one.
-        """
-        return set(self.manifest(sweep))
+        with self._lock:
+            return self._view(sweep).quarantined()
 
     # -- aggregate views ------------------------------------------------
 
-    def entries(self) -> Iterator[Path]:
-        """All entry files currently on disk.
+    def _sweeps(self) -> List[str]:
+        """Names of the sweep directories under the root."""
+        try:
+            return sorted(c.name for c in self.root.iterdir() if c.is_dir())
+        except OSError:
+            return []
 
-        A snapshot, not a lock: a concurrent sweep or :meth:`clear` may
-        remove a listed file before the caller touches it, so consumers
-        must tolerate vanished paths.  (:meth:`stats` does not walk
-        this — it folds the manifests — but :meth:`clear` ground-truths
-        against the files.)
-        """
-        if not self.root.is_dir():
-            return iter(())
-        return self.root.glob("*/*/*.json")
+    def entries(self, sweep: str | None = None) -> Iterator[dict]:
+        """The live put records of ``sweep`` (or of every sweep), each a
+        dict with ``key``, ``params``, ``created``, ``result`` and the
+        optional ``batch`` stamp, in log order.  Records that fail
+        validation are skipped (:meth:`get` heals them)."""
+        for name in [sweep] if sweep is not None else self._sweeps():
+            try:
+                fd = os.open(self.log_path(name), os.O_RDONLY)
+            except OSError:
+                continue
+            try:
+                with self._lock:
+                    spans = sorted(
+                        self._sync(name, fd).live.items(),
+                        key=lambda item: item[1],
+                    )
+                for key, (offset, length) in spans:
+                    try:
+                        yield _valid_put(os.pread(fd, length, offset), key)
+                    except (ValueError, KeyError, TypeError):
+                        continue
+            finally:
+                os.close(fd)
 
     def stats(self) -> CacheStats:
         """Entry count, total size, and the sweep namespaces present.
 
-        Reads one journal per shard — never the entry files themselves
-        — so ``cache info`` costs O(shards), not O(entries); with warm
-        fold memos it is O(shards) ``stat`` calls.  Shards without a
-        readable journal are healed on the way through.
+        Reads each sweep's log index — never the records themselves —
+        and an unchanged log costs one ``fstat`` per re-read.
         """
-        count = 0
-        size = 0
-        bad = 0
-        batch_total = 0
-        sweeps = []
+        count = size = bad = batch_total = 0
         per_sweep = []
         batch_per_sweep = []
-        shards_per_sweep = []
-        if self.root.is_dir():
-            for child in sorted(self.root.iterdir()):
-                if not child.is_dir():
-                    continue
-                live, quar, _, batch_keys = self._folded_sweep(child.name)
-                if not live and not quar:
-                    continue
-                batch_live = sum(1 for key in batch_keys if key in live)
-                count += len(live)
-                size += sum(live.values())
-                bad += len(quar)
-                batch_total += batch_live
-                sweeps.append(child.name)
-                per_sweep.append((child.name, len(live), len(quar)))
-                if batch_live:
-                    batch_per_sweep.append((child.name, batch_live))
-                shards_per_sweep.append(
-                    (child.name, len(self._shard_dirs(child.name)))
-                )
+        for name in self._sweeps():
+            with self._lock:
+                index = self._view(name)
+                live, quar = len(index.live), len(index.quarantined())
+                nbytes = sum(n for _, n in index.live.values())
+                batch_live = sum(1 for k in index.batch if k in index.live)
+            if not live and not quar:
+                continue
+            count += live
+            size += nbytes
+            bad += quar
+            batch_total += batch_live
+            per_sweep.append((name, live, quar))
+            if batch_live:
+                batch_per_sweep.append((name, batch_live))
         return CacheStats(
             entries=count,
             bytes=size,
-            sweeps=tuple(sweeps),
+            sweeps=tuple(name for name, _, _ in per_sweep),
             quarantined=bad,
             per_sweep=tuple(per_sweep),
             batch_entries=batch_total,
             batch_per_sweep=tuple(batch_per_sweep),
-            shards_per_sweep=tuple(shards_per_sweep),
         )
 
     def clear(self, sweep: str | None = None) -> int:
         """Delete all entries (or one sweep's); returns the count removed.
 
-        Counting ground-truths against the entry files (not the index):
-        ``clear`` is the maintenance path, and the manifests die with
-        their directories anyway.  Whatever else a sweep directory
-        holds goes with it.
+        Whatever else a sweep directory holds goes with it, including
+        directories left by older cache layouts.
         """
-        self._fold_memo.clear()
-        if sweep is not None:
-            target = self.root / sweep
-            removed = (
-                len(list(target.glob("*/*.json"))) if target.is_dir() else 0
-            )
-            shutil.rmtree(target, ignore_errors=True)
-            return removed
-        removed = len(list(self.entries()))
-        if self.root.is_dir():
-            for child in self.root.iterdir():
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
+        removed = 0
+        for name in [sweep] if sweep is not None else self._sweeps():
+            with self._lock:
+                removed += len(self._index(name).live)
+                self._indexes.pop(name, None)
+            shutil.rmtree(self.root / name, ignore_errors=True)
         return removed
 
 

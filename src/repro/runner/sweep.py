@@ -380,9 +380,7 @@ class SweepResult:
     """Everything :func:`run_sweep` learned about one sweep.
 
     ``batch_groups`` counts the point-groups the batched dispatch path
-    resolved (0 for scalar-only runs); ``shards`` counts the distinct
-    cache shard directories the run's fresh results landed in (0 when
-    running cache-less).  Both feed the CLI's ``[K groups, S shards]``
+    resolved (0 for scalar-only runs); it feeds the CLI's ``[K groups]``
     summary suffix.
     """
 
@@ -392,7 +390,6 @@ class SweepResult:
     elapsed: float = 0.0
     title: Optional[str] = None
     batch_groups: int = 0
-    shards: int = 0
 
     @property
     def hits(self) -> int:
@@ -441,10 +438,6 @@ class CampaignResult:
     @property
     def batch_groups(self) -> int:
         return sum(s.batch_groups for s in self.sweeps)
-
-    @property
-    def shards(self) -> int:
-        return sum(s.shards for s in self.sweeps)
 
     @property
     def elapsed(self) -> float:
@@ -559,10 +552,10 @@ def run_sweep(
             campaign path: pass one instance to keep persistent workers
             warm across sweeps), or ``None``/``"auto"`` for the historic
             default (inline when ``jobs <= 1``, fresh pool otherwise).
-        resume: consult the sweep's cache manifest (one O(1) index
-            read) for which points already exist instead of probing
-            every entry file; points missing from the index — the tail
-            a killed run never wrote, or failed points, which are never
+        resume: consult the sweep's cache index (one read of the
+            sweep's log) for which points already exist and look up
+            only those; points missing from the index — the tail a
+            killed run never wrote, or failed points, which are never
             cached — are recomputed, everything else is loaded.
             Requires ``cache``.
         on_error: ``"raise"`` (default) re-raises the first failing
@@ -621,6 +614,13 @@ def run_sweep(
         if (cache and resume and not retry_quarantined)
         else {}
     )
+    # A manifest listing is a hint, not a promise: get_many still
+    # validates every record and reports a stale or corrupt one as a
+    # miss to recompute.
+    hits = cache.get_many(sweep.name, [
+        key for key in keys
+        if key not in quarantined and (known is None or key in known)
+    ]) if cache else {}
     missing: List[int] = []
     for idx, params in enumerate(sweep.points):
         if cache and keys[idx] in quarantined:
@@ -632,20 +632,15 @@ def run_sweep(
                 status="quarantined",
                 error=quarantined[keys[idx]].get("error"),
             )
-            continue
-        if cache and (known is None or keys[idx] in known):
-            # A manifest listing is a hint, not a promise: get() still
-            # validates the entry file and reports a stale index entry
-            # (deleted/corrupted file) as a miss to recompute.
-            value, hit = cache.get(sweep.name, keys[idx])
-            if hit:
-                resolved[idx] = PointOutcome(params, keys[idx], value, True, 0.0)
-                continue
-        missing.append(idx)
+        elif cache and keys[idx] in hits:
+            resolved[idx] = PointOutcome(
+                params, keys[idx], hits[keys[idx]], True, 0.0
+            )
+        else:
+            missing.append(idx)
 
     exec_backend, owned = resolve_backend(backend, jobs)
     result = SweepResult(name=sweep.name, title=sweep.title)
-    touched_shards: set = set()  # cache shard prefixes fresh puts land in
 
     def emit(
         idx: int, status: str, seconds: float, cached: bool = False
@@ -679,7 +674,6 @@ def run_sweep(
             )
         if cache:
             cache.put_many(sweep.name, entries, batch=batch)
-            touched_shards.update(key[:2] for key, _, _ in entries)
 
     failures: List[Dict[str, Any]] = []
 
@@ -824,7 +818,6 @@ def run_sweep(
             result.rows = sweep.rows(values)
         except Exception:
             result.rows = [v for v in values if v is not FAILED]
-    result.shards = len(touched_shards)
     result.elapsed = time.perf_counter() - start
     return result
 

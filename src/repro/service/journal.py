@@ -13,7 +13,7 @@ request the daemon accepted and every batch it leased or completed::
 
 The fold is last-op-wins per token (``done``/``abort`` close a
 request) and per ``(token, batch)`` (``complete`` clears a ``lease``),
-with the same torn-line salvage rule as ``MANIFEST.jsonl``: an
+with the same torn-line salvage rule as the result cache's logs: an
 unparsable line (the append a ``kill -9`` tore in half) is skipped,
 never trusted, and costs at most its own record.
 

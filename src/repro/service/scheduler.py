@@ -144,16 +144,20 @@ class CampaignScheduler:
             return
         missing: List[int] = []
         hits: List[dict] = []
+        cached = (
+            self.cache.get_many(session.sweep, session.keys)
+            if self.cache is not None and session.keys is not None
+            else {}
+        )
         for idx in range(len(session.items)):
-            if self.cache is not None and session.keys is not None:
-                value, hit = self.cache.get(session.sweep, session.keys[idx])
-                if hit:
-                    hits.append({
-                        "event": "result", "index": idx, "value": value,
-                        "seconds": 0.0, "error": None, "cached": True,
-                    })
-                    continue
-            missing.append(idx)
+            if cached and session.keys[idx] in cached:
+                hits.append({
+                    "event": "result", "index": idx,
+                    "value": cached[session.keys[idx]],
+                    "seconds": 0.0, "error": None, "cached": True,
+                })
+            else:
+                missing.append(idx)
         session.post_many(hits)
         job = _Job(session)
         if not missing:

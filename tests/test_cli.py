@@ -5,10 +5,14 @@ argv, asserting exit codes, ``--backend``/``--resume``/``--keep-going``
 plumbing, and the human-readable output the CI smoke jobs grep for.
 """
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main as cli_main
 from repro.runner import ResultCache
 
@@ -53,23 +57,20 @@ class TestBackendPlumbing:
         assert cli_main(argv) == 0
         assert "maxreuse: 0 cached, 1 computed" in capsys.readouterr().out
         # The explicit backend is stamped into the cached entry's params.
-        [entry] = [
-            p for p in (tmp_path / "maxreuse").glob("*/*.json")
-        ]
-        params = json.loads(entry.read_text())["params"]
-        assert params["backend"] == backend
+        [entry] = ResultCache(tmp_path).entries("maxreuse")
+        assert entry["params"]["backend"] == backend
 
     def test_backends_keep_separate_cache_namespaces(self, tmp_path, capsys):
         for backend in ("serial", "process"):
             assert cli_main(_sweep_argv(tmp_path, "--backend", backend)) == 0
         capsys.readouterr()
-        assert len(list((tmp_path / "maxreuse").glob("*/*.json"))) == 2
+        assert len(list(ResultCache(tmp_path).entries("maxreuse"))) == 2
 
     def test_auto_backend_leaves_points_unstamped(self, tmp_path, capsys):
         assert cli_main(_sweep_argv(tmp_path)) == 0
         capsys.readouterr()
-        [entry] = list((tmp_path / "maxreuse").glob("*/*.json"))
-        assert "backend" not in json.loads(entry.read_text())["params"]
+        [entry] = ResultCache(tmp_path).entries("maxreuse")
+        assert "backend" not in entry["params"]
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--backend", "persistent")
@@ -81,15 +82,15 @@ class TestBackendPlumbing:
 
 class TestResume:
     def test_resume_recomputes_only_missing(self, tmp_path, capsys):
-        """Simulate a killed run: drop one entry file (the manifest still
-        lists it) and ``--resume`` must recompute exactly that point."""
+        """Simulate a killed run: drop one entry and ``--resume`` must
+        recompute exactly that point."""
         argv = ["sweep", "bounds", "--cache-dir", str(tmp_path), "--quiet"]
         assert cli_main(argv) == 0
         cold = capsys.readouterr().out
         cache = ResultCache(tmp_path)
         keys = sorted(cache.manifest_keys("bounds"))
         assert len(keys) >= 2
-        cache.path_for("bounds", keys[0]).unlink()
+        assert cache.discard("bounds", keys[:1]) == 1
 
         assert cli_main([*argv, "--resume"]) == 0
         resumed = capsys.readouterr().out
@@ -130,13 +131,23 @@ class TestCacheCommand:
         assert "entries   : 5" in capsys.readouterr().out
 
     def test_rebuild_restores_corrupt_manifest(self, tmp_path, capsys):
+        """``cache rebuild`` salvages a log with a garbage line, a
+        record of a stale format and a torn tail down to its valid
+        records."""
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        cache.shard_manifest_path("s", "k0").write_text("torn{garbage\n")
+        log = cache.log_path("s")
+        stale = log.read_text().splitlines()[0].replace(
+            '"key":"k0","format":1', '"key":"k8","format":7'
+        )
+        with open(log, "a") as fh:
+            fh.write(f"torn{{garbage\n{stale}\n{{\"op\":\"put\",\"ke")
         assert cli_main(["cache", "rebuild", "--cache-dir", str(tmp_path)]) == 0
         assert "rebuilt manifests for 3 entries" in capsys.readouterr().out
         assert cache.stats().entries == 3
+        assert len(log.read_text().splitlines()) == 3
+        assert log.read_text().endswith("\n")
 
     def test_clear(self, tmp_path, capsys):
         ResultCache(tmp_path).put("s", "k", {}, 1)
@@ -150,8 +161,7 @@ class TestCacheCommand:
             cache.put("s", "k", {}, 1)  # nine dead records
         assert cli_main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
         assert "9 dead record(s) dropped" in capsys.readouterr().out
-        shard = cache.shard_manifest_path("s", "k_")  # 1-char key pads
-        assert len(shard.read_text().splitlines()) == 1
+        assert len(cache.log_path("s").read_text().splitlines()) == 1
         value, hit = cache.get("s", "k")
         assert hit and value == 1
 
@@ -214,7 +224,7 @@ class TestCacheEnvExport:
         ]
         assert cli_main(argv) == 0
         capsys.readouterr()
-        assert not list(tmp_path.rglob("*.json"))
+        assert not list(tmp_path.iterdir())
         assert not list(ResultCache(default_store).entries())
         assert "REPRO_CACHE_DISABLE" not in os.environ  # restored
 
@@ -363,3 +373,23 @@ class TestFaultToleranceFlags:
         err = capsys.readouterr().err
         assert "RETRYING" in err
         assert "FAILED" in err and "failed, 0 quarantined]" in err
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is imported only by the functions that solve with it,
+        so starting the CLI does not pay for it."""
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys\n"
+            "import repro.__main__\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr

@@ -51,12 +51,11 @@ def _sweep(n=8, name="ft", fn=_square_point, **extra):
 
 
 def _entry_shapes(cache, sweep):
-    """Every entry file minus its write timestamp, for byte-identity."""
+    """Every live entry minus its write timestamp, for byte-identity."""
     out = {}
-    for path in sorted((cache.root / sweep).glob("*.json")):
-        entry = json.loads(path.read_text())
+    for entry in cache.entries(sweep):
         entry.pop("created")
-        out[path.name] = entry
+        out[entry["key"]] = entry
     return out
 
 
@@ -367,14 +366,16 @@ class TestQuarantine:
         self._fail_permanently(cache)
         before = cache.quarantined("ft")
         assert before
-        # tear every journal holding a quarantine: append garbage,
-        # forcing a per-shard rebuild
-        for key in before:
-            path = cache.shard_manifest_path("ft", key[:2])
-            with open(path, "a") as handle:
-                handle.write("{torn-line\n")
-        assert cache.quarantined("ft") == before  # salvaged, not amnestied
-        assert cache.manifest("ft")  # live index rebuilt too
+        live = cache.manifest_keys("ft")
+        # tear the log: a garbage line, then a torn tail
+        with open(cache.log_path("ft"), "a") as handle:
+            handle.write('{torn-line\n{"op":"quarantine","key":"x","par')
+        fresh = ResultCache(tmp_path)
+        assert fresh.quarantined("ft") == before  # salvaged, not amnestied
+        assert fresh.manifest_keys("ft") == live  # live index salvaged too
+        fresh.rebuild_manifest("ft")  # the forced salvage keeps them
+        assert ResultCache(tmp_path).quarantined("ft") == before
+        assert ResultCache(tmp_path).manifest_keys("ft") == live
 
     def test_breaker_leaves_quarantine_records(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -411,13 +412,8 @@ class TestCrashRecovery:
         assert [o.value for o in result.outcomes] == [
             o.value for o in clean.outcomes
         ]
-        # manifest integrity: parsable, no torn lines, no duplicates
-        # (one journal per shard directory touched)
-        lines = [
-            line
-            for path in sorted((tmp_path / "ft").glob("*/MANIFEST.jsonl"))
-            for line in path.read_text().splitlines()
-        ]
+        # log integrity: parsable, no torn lines, no duplicates
+        lines = cache.log_path("ft").read_text().splitlines()
         records = [json.loads(line) for line in lines if line.strip()]
         put_keys = [r["key"] for r in records if r["op"] == "put"]
         assert len(put_keys) == len(set(put_keys)) == 16

@@ -293,15 +293,19 @@ class TestCacheKeyInterchangeability:
         assert [o.key for o in a.outcomes] == [o.key for o in b.outcomes]
         assert a.rows == b.rows
 
-    def test_batch_groups_and_shards_reported(self, tmp_path):
+    def test_batch_groups_reported(self, tmp_path):
+        from repro.runner.sweep import _batch_groups
+
         cache = ResultCache(tmp_path)
-        result = run_sweep(_model_sweep(), cache=cache, code="v", batch=True)
-        assert result.batch_groups >= 1
-        keys = {o.key for o in result.outcomes}
-        assert result.shards == len({k[:2] for k in keys})
+        sweep = _model_sweep()
+        result = run_sweep(sweep, cache=cache, code="v", batch=True)
+        # One group per contiguous slice of the cold points.
+        groups = _batch_groups(list(range(len(sweep.points))), 1)
+        assert result.batch_groups == len(groups) >= 1
         scalar = run_sweep(
             _model_sweep(), cache=ResultCache(tmp_path / "s"),
             code="v", batch=False,
         )
         assert scalar.batch_groups == 0
-        assert scalar.shards == result.shards  # same keys either way
+        warm = run_sweep(sweep, cache=cache, code="v", batch=True)
+        assert warm.batch_groups == 0  # every point was a cache hit

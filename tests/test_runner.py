@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,20 @@ def _counting_point(params):
     with open(params["counter"], "a") as fh:
         fh.write("x")
     return {"x": params["x"], "square": params["x"] ** 2}
+
+
+def _tamper(cache, sweep, key, edit):
+    """Rewrite the log line holding ``key``'s last put record in place
+    (same file, as an editor or a bad disk would): ``edit`` maps the old
+    line to the new one."""
+    path = cache.log_path(sweep)
+    lines = path.read_bytes().splitlines(keepends=True)
+    idx = max(
+        i for i, line in enumerate(lines)
+        if line.startswith(b'{"op":"put","key":"%s"' % key.encode())
+    )
+    lines[idx] = edit(lines[idx].rstrip(b"\n")) + b"\n"
+    path.write_bytes(b"".join(lines))
 
 
 def _calls(counter: Path) -> int:
@@ -108,18 +123,18 @@ class TestResultCache:
     def test_corrupted_entry_is_healed(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("s", "k1", {}, {"ok": True})
-        path = cache.path_for("s", "k1")
-        path.write_text("{truncated garbage")
+        _tamper(cache, "s", "k1", lambda line: line[:20])  # torn record
         _, hit = cache.get("s", "k1")
         assert not hit
-        assert not path.exists()  # healed: bad entry removed
+        assert "k1" not in cache.manifest_keys("s")  # healed away
 
     def test_key_mismatch_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("s", "k1", {}, {"ok": True})
-        entry = json.loads(cache.path_for("s", "k1").read_text())
-        entry["key"] = "tampered"
-        cache.path_for("s", "k1").write_text(json.dumps(entry))
+        assert cache.manifest_keys("s") == {"k1"}  # index built
+        # Same length, so the index still points k1 at this record.
+        _tamper(cache, "s", "k1",
+                lambda line: line.replace(b'"k1"', b'"k9"'))
         _, hit = cache.get("s", "k1")
         assert not hit
 
@@ -194,8 +209,8 @@ class TestRunSweep:
         sweep = _counting_sweep(tmp_path)
         cache = ResultCache(tmp_path / "cache")
         cold = run_sweep(sweep, cache=cache)
-        victim = cache.path_for(sweep.name, cold.outcomes[2].key)
-        victim.write_text("not json at all")
+        _tamper(cache, sweep.name, cold.outcomes[2].key,
+                lambda line: b"not json at all")
         healed = run_sweep(sweep, cache=cache)
         assert healed.hits == 3 and healed.misses == 1
         assert healed.rows == cold.rows
@@ -367,7 +382,7 @@ class TestSweepCLI:
         ]
         assert cli_main(argv) == 0
         assert "cache disabled" in capsys.readouterr().out
-        assert not list(tmp_path.rglob("*.json"))
+        assert not list(tmp_path.iterdir())
 
     def test_cache_info_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main as cli_main
@@ -433,11 +448,8 @@ class TestCodeVersionFreshness:
 
 
 def _journal_lines(cache, sweep):
-    """Every journal line of a sweep, across its shards."""
-    lines = []
-    for path in sorted((cache.root / sweep).glob("*/MANIFEST.jsonl")):
-        lines.extend(path.read_text().splitlines())
-    return lines
+    """Every line of a sweep's log."""
+    return cache.log_path(sweep).read_text().splitlines()
 
 
 class TestManifest:
@@ -449,8 +461,9 @@ class TestManifest:
             cache.put("s", f"k{i}", {"i": i}, i)
         manifest = cache.manifest("s")
         assert sorted(manifest) == ["k0", "k1", "k2"]
-        for key, size in manifest.items():
-            assert size == cache.path_for("s", key).stat().st_size
+        # One line per record: the sizes plus newlines are the log.
+        log_size = cache.log_path("s").stat().st_size
+        assert sum(manifest.values()) + len(manifest) == log_size
         stats = cache.stats()
         assert stats.entries == 3
         assert stats.bytes == sum(manifest.values())
@@ -474,25 +487,29 @@ class TestManifest:
         assert stats.bytes > 0
 
     def test_flat_layout_is_a_cold_miss(self, tmp_path):
-        """A pre-sharding flat directory (``<sweep>/<key>.json`` plus one
-        ``<sweep>/MANIFEST.jsonl``) is not read: every point misses,
-        run_sweep recomputes it into shards, and ``clear`` still
-        removes the directory."""
+        """Directories of the older one-file-per-entry layouts — flat
+        (``<sweep>/<key>.json`` plus ``<sweep>/MANIFEST.jsonl``) and
+        sharded (``<sweep>/<key[:2]>/<key>.json`` plus a manifest per
+        shard) — are not read: every point misses, run_sweep
+        recomputes it into the log, and ``clear`` still removes the
+        directory."""
         sweep = _counting_sweep(tmp_path)
         cache = ResultCache(tmp_path / "cache")
         run_sweep(sweep, cache=cache, code="v1")
         root = cache.root / sweep.name
-        journal = "".join(
-            m.read_text() for m in sorted(root.glob("*/MANIFEST.jsonl"))
-        )
-        for entry in root.glob("*/*.json"):
-            os.replace(entry, root / entry.name)
-        for manifest in root.glob("*/MANIFEST.jsonl"):
-            manifest.unlink()
-        for shard in [c for c in root.iterdir() if c.is_dir()]:
-            shard.rmdir()
-        (root / "MANIFEST.jsonl").write_text(journal)
-        assert len(list(root.glob("*.json"))) == 4
+        records = list(cache.entries(sweep.name))
+        cache.log_path(sweep.name).unlink()
+        for i, record in enumerate(records):
+            key = record.pop("key")
+            record.pop("op")
+            entry = json.dumps(record)
+            journal = json.dumps({"op": "put", "key": key}) + "\n"
+            where = root if i % 2 else root / key[:2]
+            where.mkdir(exist_ok=True)
+            (where / f"{key}.json").write_text(entry)
+            with open(where / "MANIFEST.jsonl", "a") as fh:
+                fh.write(journal)
+        assert len(list(root.rglob("*.json"))) == 4
 
         flat = ResultCache(tmp_path / "cache")
         assert flat.manifest_keys(sweep.name) == set()
@@ -500,44 +517,63 @@ class TestManifest:
         again = run_sweep(sweep, cache=flat, code="v1")
         assert again.hits == 0 and again.misses == 4
         assert _calls(tmp_path / "calls.txt") == 8  # recomputed
-        assert len(flat.manifest_keys(sweep.name)) == 4  # now sharded
+        assert len(flat.manifest_keys(sweep.name)) == 4  # now in the log
         warm = run_sweep(sweep, cache=ResultCache(tmp_path / "cache"),
                          code="v1")
         assert warm.hits == 4 and _calls(tmp_path / "calls.txt") == 8
         assert flat.clear() == 4
         assert not root.exists()
 
-    def test_entries_shard_by_key_prefix(self, tmp_path):
-        """Layout acceptance: entries land in ``<sweep>/<key[:2]>/`` with
-        a per-shard journal, bounding every directory's fan-out."""
+    def test_entries_live_in_one_log_per_sweep(self, tmp_path):
+        """Layout acceptance: a sweep directory holds exactly one file,
+        its log, with one line per record and no per-entry files."""
         cache = ResultCache(tmp_path)
         cache.put("s", "abcd", {}, 1)
         cache.put("s", "abxy", {}, 2)
-        cache.put("s", "cdef", {}, 3)
-        assert cache.path_for("s", "abcd") == tmp_path / "s" / "ab" / "abcd.json"
-        assert (tmp_path / "s" / "ab" / "MANIFEST.jsonl").exists()
-        assert (tmp_path / "s" / "cd" / "MANIFEST.jsonl").exists()
+        cache.put_many("s", [("cdef", {}, 3)])
+        cache.put("t", "abcd", {}, 4)
+        assert cache.log_path("s") == tmp_path / "s" / "LOG.jsonl"
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "LOG.jsonl"
+        ]
+        assert len(_journal_lines(cache, "s")) == 3
         assert sorted(cache.manifest("s")) == ["abcd", "abxy", "cdef"]
-        assert dict(cache.stats().shards_per_sweep) == {"s": 2}
+        assert [r["key"] for r in cache.entries("s")] == [
+            "abcd", "abxy", "cdef"
+        ]
+        assert [r["result"] for r in cache.entries()] == [1, 2, 3, 4]
+        assert cache.get("t", "abcd") == (4, True)
 
     def test_corrupt_manifest_is_rebuilt(self, tmp_path):
+        """Garbage lines and a torn tail are salvaged around: the index
+        skips them, and ``rebuild_manifest`` rewrites the log without
+        them."""
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        cache.shard_manifest_path("s", "k0").write_text(
-            '{"op":"put","key":"k0"}\ntorn{'
-        )
-        assert cache.stats().entries == 3  # rebuilt from entry files
+        with open(cache.log_path("s"), "a") as fh:
+            fh.write('not json\n{"op":"put","key":"k9","form')
+        assert cache.stats().entries == 3  # salvaged around
+        assert sorted(cache.rebuild_manifest("s")) == ["k0", "k1", "k2"]
+        assert len(_journal_lines(cache, "s")) == 3
+        for i in range(3):
+            assert cache.get("s", f"k{i}") == (i, True)
 
     def test_healed_entry_records_a_del(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("s", "k0", {}, 0)
         cache.put("s", "k1", {}, 1)
-        cache.path_for("s", "k0").write_text("not json")
-        _, hit = cache.get("s", "k0")  # heals: unlinks + journals the del
+        _tamper(cache, "s", "k0",
+                lambda line: line.replace(b'"format":1', b'"format":7'))
+        _, hit = cache.get("s", "k0")  # heals: appends the del
         assert not hit
+        assert json.loads(_journal_lines(cache, "s")[-1]) == {
+            "op": "del", "key": "k0"
+        }
         assert sorted(cache.manifest_keys("s")) == ["k1"]
         assert cache.stats().entries == 1
+        fresh = ResultCache(tmp_path)  # the del is on disk, not in memory
+        assert sorted(fresh.manifest_keys("s")) == ["k1"]
 
     def test_manifest_keys_tolerate_missing_sweep(self, tmp_path):
         assert ResultCache(tmp_path).manifest_keys("nope") == set()
@@ -558,43 +594,85 @@ class TestManifest:
     def test_readonly_cache_still_serves_index_reads(
         self, tmp_path, monkeypatch
     ):
-        """Torn and missing shard journals on a read-only mount: the
-        rebuild cannot persist, but stats/manifest must still derive
-        correct numbers instead of crashing (root ignores permission
-        bits, so this is simulated by failing the temp-file creation)."""
+        """A torn log and a corrupt record on a read-only mount: heals,
+        salvage and compaction cannot persist, but reads must still
+        serve correct numbers and values instead of crashing (root
+        ignores permission bits, so this is simulated by failing every
+        open for writing and every temp-file creation)."""
         import repro.runner.cache as cache_mod
 
         cache = ResultCache(tmp_path)
         cache.put("s", "k0", {}, 0)
         cache.put("s", "k1", {}, 1)
-        torn = cache.shard_manifest_path("s", "k0")
-        torn.write_text("torn{garbage\n")
-        cache.shard_manifest_path("s", "k1").unlink()  # missing index
+        for _ in range(6):
+            cache.put("s", "k2", {}, 2)  # dead records to compact
+        _tamper(cache, "s", "k0",
+                lambda line: line.replace(b'"format":1', b'"format":7'))
+        with open(cache.log_path("s"), "a") as fh:
+            fh.write("torn{garbage")
+        before = cache.log_path("s").read_bytes()
+        real_open = os.open
+
+        def read_only_open(path, flags, *a, **k):
+            if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+                raise OSError("read-only file system")
+            return real_open(path, flags, *a, **k)
 
         def no_write(*a, **k):
             raise OSError("read-only file system")
 
+        monkeypatch.setattr(cache_mod.os, "open", read_only_open)
         monkeypatch.setattr(cache_mod.tempfile, "mkstemp", no_write)
         stats = cache.stats()
-        assert stats.entries == 2 and stats.sweeps == ("s",)
-        assert sorted(cache.manifest_keys("s")) == ["k0", "k1"]
-        assert torn.read_text() == "torn{garbage\n"  # nothing persisted
-        assert not cache.shard_manifest_path("s", "k1").exists()
+        assert stats.entries == 3 and stats.sweeps == ("s",)
+        assert sorted(cache.manifest_keys("s")) == ["k0", "k1", "k2"]
+        assert cache.get_many("s", ["k0", "k1", "k2"]) == {"k1": 1, "k2": 2}
+        assert sorted(cache.rebuild_manifest("s")) == ["k0", "k1", "k2"]
+        assert cache.compact("s") == 0
+        assert cache.log_path("s").read_bytes() == before  # nothing persisted
 
     def test_put_survives_unwritable_manifest(self, tmp_path, monkeypatch):
-        """Entry files are the ground truth: a failing journal append
-        must not fail the put, and the index self-heals later."""
+        """A refused log write fails that commit alone (``OSError``,
+        which ``cached_call`` degrades to compute-without-caching): the
+        log keeps every earlier commit, and later commits land."""
+        import repro.runner.cache as cache_mod
+
         cache = ResultCache(tmp_path)
-
-        def no_append(self, path, lines, fsync=False):
-            raise OSError("append refused")
-
-        monkeypatch.setattr(ResultCache, "_append_lines", no_append)
         cache.put("s", "k0", {}, {"ok": True})
+
+        def no_write(fd, data):
+            raise OSError("write refused")
+
+        monkeypatch.setattr(cache_mod.os, "write", no_write)
+        with pytest.raises(OSError):
+            cache.put("s", "k1", {}, 1)
         value, hit = cache.get("s", "k0")
         assert hit and value == {"ok": True}
         monkeypatch.undo()
-        assert cache.stats().entries == 1  # rebuilt from the entry file
+        cache.put("s", "k2", {}, 2)
+        assert sorted(cache.manifest_keys("s")) == ["k0", "k2"]
+
+    def test_put_survives_short_writes(self, tmp_path, monkeypatch):
+        """A commit loops until the kernel took every byte."""
+        import repro.runner.cache as cache_mod
+
+        real_write = os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(cache_mod.os, "write", short_write)
+        entries = [(f"k{i}", {"i": i}, [i] * 5) for i in range(4)]
+        assert cache.put_many("s", entries) == 4
+        monkeypatch.undo()
+        assert len(calls) > 4
+        assert cache.get_many("s", [k for k, _, _ in entries]) == {
+            k: v for k, _, v in entries
+        }
+        assert len(_journal_lines(cache, "s")) == 4
 
 
 class TestResume:
@@ -626,13 +704,17 @@ class TestResume:
         assert json.dumps(resumed.rows) == json.dumps(full.rows)
 
     def test_resume_validates_stale_manifest_listings(self, tmp_path):
-        """A listed key whose entry file vanished is recomputed, not
-        trusted — the manifest is an index, never the data."""
+        """A listed key whose record went bad is recomputed, not
+        trusted — the index is a hint, never the data."""
         sweep = _counting_sweep(tmp_path)
         cache = ResultCache(tmp_path / "cache")
         cold = run_sweep(sweep, cache=cache, code="v1")
-        victim = cache.path_for(sweep.name, cold.outcomes[1].key)
-        victim.unlink()  # manifest still lists it
+        victim = cold.outcomes[1].key
+        assert victim in cache.manifest_keys(sweep.name)
+        # Same length: the in-memory index still lists the victim.
+        _tamper(cache, sweep.name, victim,
+                lambda line: line.replace(b'"result"', b'"resuXt"'))
+        assert victim in cache.manifest_keys(sweep.name)
         resumed = run_sweep(sweep, cache=cache, code="v1", resume=True)
         assert resumed.hits == 3 and resumed.misses == 1
         assert json.dumps(resumed.rows) == json.dumps(cold.rows)
@@ -721,8 +803,8 @@ class TestManifestCompaction:
 
 
 class TestBulkIO:
-    """put_many/get_many: a resolved batch costs one journal append
-    and one fsync per shard touched, never one per point."""
+    """put_many/get_many: a resolved batch costs one log write and one
+    fsync, never one per point."""
 
     ENTRIES = [
         ("ab0000", {"i": 0}, 0),
@@ -744,26 +826,29 @@ class TestBulkIO:
             got, hit = bulk.get("s", key)
             assert hit and got == value
 
-    def test_put_many_one_append_one_fsync_per_shard(
-        self, tmp_path, monkeypatch
-    ):
+    def test_put_many_one_write_one_fsync(self, tmp_path, monkeypatch):
+        import repro.runner.cache as cache_mod
+
         cache = ResultCache(tmp_path)
-        appends = []
-        original = ResultCache._append_lines
+        cache.put("s", "zz", {}, 0)  # the log exists: one open, no mkdir
+        calls = []
 
-        def counting(self, path, lines, fsync=False):
-            appends.append((path.name, path.parent.name, fsync))
-            return original(self, path, lines, fsync)
+        def counting(name):
+            real = getattr(os, name)
 
-        monkeypatch.setattr(ResultCache, "_append_lines", counting)
+            def step(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return step
+
+        for name in ("open", "write", "fsync", "mkdir", "replace"):
+            monkeypatch.setattr(cache_mod.os, name, counting(name))
         cache.put_many("s", self.ENTRIES, batch=True)
-        # 5 entries across 2 shards: exactly 2 journal writes, fsynced.
-        assert sorted(appends) == [
-            ("MANIFEST.jsonl", "ab", True),
-            ("MANIFEST.jsonl", "cd", True),
-        ]
+        monkeypatch.undo()
+        # 5 entries: one open of the log, one write, one fsync.
+        assert sorted(calls) == ["fsync", "open", "write"]
         assert sorted(cache.manifest_keys("s")) == sorted(
-            k for k, _, _ in self.ENTRIES
+            [k for k, _, _ in self.ENTRIES] + ["zz"]
         )
 
     def test_put_many_stamps_batch_provenance(self, tmp_path):
@@ -779,26 +864,147 @@ class TestBulkIO:
         assert hits == {k: v for k, _, v in self.ENTRIES}
 
     def test_stats_fold_is_memoized_on_snapshot(self, tmp_path, monkeypatch):
-        """Repeated index reads of an unchanged journal cost one stat,
-        not a re-read+re-fold (the code_version() trick)."""
+        """Repeated index reads of an unchanged log cost one fstat,
+        not a re-read+re-fold, and a grown log is read from where the
+        index stopped."""
         import repro.runner.cache as cache_mod
 
         cache = ResultCache(tmp_path)
         cache.put_many("s", self.ENTRIES)
         first = cache.stats()
+        size = cache.log_path("s").stat().st_size
 
         reads = []
-        original = Path.read_text
+        original = os.pread
 
-        def counting(self, *a, **k):
-            reads.append(self.name)
-            return original(self, *a, **k)
+        def counting(fd, n, offset):
+            reads.append((n, offset))
+            return original(fd, n, offset)
 
-        monkeypatch.setattr(cache_mod.Path, "read_text", counting)
+        monkeypatch.setattr(cache_mod.os, "pread", counting)
         assert cache.stats() == first
-        assert "MANIFEST.jsonl" not in reads  # folds served from memo
+        assert reads == []  # folds served from memo
+        cache.put("s", "ab0077", {}, 7)
+        reads.clear()
+        assert cache.stats().entries == first.entries + 1
+        assert reads and min(offset for _, offset in reads) >= size - 32
         monkeypatch.undo()
 
-        # Any write invalidates: the next read refolds and sees it.
-        cache.put("s", "ab0077", {}, 7)
-        assert cache.stats().entries == first.entries + 1
+
+#: Appends 500 single-entry commits, re-putting a churn key in
+#: between so the log always has dead records to compact away.
+_APPENDER = """
+import sys
+from repro.runner import ResultCache
+cache = ResultCache(sys.argv[1])
+for i in range(500):
+    cache.put("s", f"w{i:03d}", {"i": i}, i)
+    cache.put("s", "churn", {}, i)
+"""
+
+#: Compacts (and salvage-rebuilds) the same log in a loop until the
+#: appender is done; prints how many rewrites it made.
+_COMPACTOR = """
+import os, sys
+from repro.runner import ResultCache
+cache = ResultCache(sys.argv[1])
+rewrites = 0
+while not os.path.exists(sys.argv[2]):
+    rewrites += cache.compact("s") > 0
+    cache.rebuild_manifest("s")
+    rewrites += 1
+print(rewrites)
+"""
+
+
+class TestLogInvariants:
+    """The log's crash and concurrency guarantees."""
+
+    def test_compaction_racing_appends_loses_nothing(self, tmp_path):
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("s", "seed", {}, -1)
+        done = tmp_path / "appender-done"
+        compactor = subprocess.Popen(
+            [sys.executable, "-c", _COMPACTOR, str(cache.root), str(done)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            subprocess.run(
+                [sys.executable, "-c", _APPENDER, str(cache.root)],
+                env=env, check=True, timeout=120,
+            )
+        finally:
+            done.touch()
+            out, _ = compactor.communicate(timeout=120)
+        assert compactor.returncode == 0
+        assert int(out) > 0  # the log really was rewritten under the appender
+        expected = {f"w{i:03d}": i for i in range(500)}
+        expected.update(seed=-1, churn=499)
+        fresh = ResultCache(tmp_path / "cache")
+        assert fresh.get_many("s", expected) == expected
+        assert fresh.manifest_keys("s") == set(expected)
+
+    def test_torn_tail_costs_only_the_torn_record(self, tmp_path):
+        """Truncate the log mid-record (a writer killed mid-write), then
+        commit again: the new records and every complete old one read
+        back, the torn one is a miss, and the next write starts on a
+        fresh line."""
+        cache = ResultCache(tmp_path)
+        old = [(f"k{i}", {"i": i}, {"v": [i] * 3}) for i in range(5)]
+        cache.put_many("s", old)
+        log = cache.log_path("s")
+        data = log.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        cut = last + (len(data) - last) // 2
+        with open(log, "r+b") as fh:
+            fh.truncate(cut)
+        assert not log.read_bytes().endswith(b"\n")
+
+        reader = ResultCache(tmp_path)
+        assert reader.manifest_keys("s") == {"k0", "k1", "k2", "k3"}
+        new = [("n0", {}, 10), ("n1", {}, 11)]
+        assert ResultCache(tmp_path).put_many("s", new) == 2
+        lines = log.read_bytes().splitlines()
+        assert len(lines) == 7  # 4 complete, 1 torn, 2 new
+        for line in lines[:4] + lines[5:]:
+            json.loads(line)
+        want = {k: v for k, _, v in old[:4] + new}
+        for handle in (reader, ResultCache(tmp_path)):  # warm and cold
+            assert handle.get_many("s", [k for k, _, _ in old + new]) == want
+            assert handle.get("s", "k4") == (None, False)
+
+    def test_threads_share_one_handle(self, tmp_path):
+        """Reader threads and a writer on one ResultCache (the serve
+        daemon's shape): lookups only ever see valid records, so
+        nothing is healed away."""
+        cache = ResultCache(tmp_path)
+        expected = {f"k{i:03d}": i for i in range(300)}
+        stop = threading.Event()
+        wrong = []
+
+        def reader():
+            while not stop.is_set():
+                hits = cache.get_many("s", expected)
+                wrong.extend(k for k, v in hits.items() if v != expected[k])
+                cache.stats()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-scan
+        try:
+            for thread in threads:
+                thread.start()
+            for key, value in expected.items():
+                cache.put("s", key, {}, value)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert '"op":"del"' not in cache.log_path("s").read_text()
+        assert cache.get_many("s", expected) == expected

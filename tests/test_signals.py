@@ -2,7 +2,7 @@
 
 SIGINT and SIGTERM of a ``python -m repro sweep`` subprocess must tear
 the worker pool down (no orphaned processes), exit with the
-conventional 130/143 code, leave the sweep's cache manifest
+conventional 130/143 code, leave the sweep's cache log
 well-formed, and let ``--resume`` finish the campaign with results
 byte-identical to an uninterrupted run.  In process, a signal landing
 at any step of a cache commit is delivered only after the commit.
@@ -41,19 +41,26 @@ def _sweep_cmd(cache_dir, *extra):
 def _entry_shapes(cache_dir):
     """Every fig10 entry minus its write timestamp, for byte-identity."""
     out = {}
-    for path in sorted(Path(cache_dir, "fig10").glob("*/*.json")):
-        record = json.loads(path.read_text())
+    for record in ResultCache(cache_dir).entries("fig10"):
         record.pop("created", None)
-        out[path.name] = record
+        out[record["key"]] = record
     return out
+
+
+def _log_records(cache_dir, sweep):
+    """Every line of a sweep's log, parsed (a torn line fails)."""
+    log = ResultCache(cache_dir).log_path(sweep)
+    text = log.read_text() if log.exists() else ""
+    assert not text or text.endswith("\n"), "torn tail"
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def _wait_for_entries(cache_dir, n, deadline_s=30.0):
     """Block until ``n`` completed points have been cached."""
     deadline = time.monotonic() + deadline_s
-    target = Path(cache_dir, "fig10")
+    cache = ResultCache(cache_dir)
     while time.monotonic() < deadline:
-        if len(list(target.glob("*/*.json"))) >= n:
+        if len(cache.manifest_keys("fig10")) >= n:
             return
         time.sleep(0.05)
     raise AssertionError(f"no {n} cache entries within {deadline_s}s")
@@ -109,22 +116,13 @@ class TestInterruptedSweep:
         assert "rerun with --resume" in err
         _assert_group_gone(proc.pid)
 
-        # The journals survived the interrupt well-formed: every line
-        # parses, no duplicate puts, and each put names a real entry
-        # (one manifest per shard directory touched).
-        def journal_records(root):
-            return [
-                json.loads(line)
-                for manifest in sorted(root.glob("*/MANIFEST.jsonl"))
-                for line in manifest.read_text().splitlines()
-                if line.strip()
-            ]
-
-        records = journal_records(interrupted / "fig10")
+        # The log survived the interrupt well-formed: every line
+        # parses, no duplicate puts, and every put is readable.
+        records = _log_records(interrupted, "fig10")
         puts = [r["key"] for r in records if r["op"] == "put"]
         assert len(puts) == len(set(puts)) >= 2
-        for key in puts:
-            assert (interrupted / "fig10" / key[:2] / f"{key}.json").is_file()
+        hits = ResultCache(interrupted).get_many("fig10", puts)
+        assert sorted(hits) == sorted(puts)
         done_before = len(puts)
 
         # --resume completes only the remainder, byte-identically.
@@ -134,7 +132,7 @@ class TestInterruptedSweep:
         )
         assert result.returncode == 0, result.stderr
         assert _entry_shapes(interrupted) == reference
-        again = journal_records(interrupted / "fig10")
+        again = _log_records(interrupted, "fig10")
         final_puts = {r["key"] for r in again if r["op"] == "put"}
         assert len(final_puts) == 21 and set(puts) <= final_puts
         assert done_before < 21  # the interrupt really landed mid-sweep
@@ -150,21 +148,24 @@ def _raise_terminated(signum, frame):  # noqa: ARG001
 
 class TestCommitHoldsSignals:
     """A signal landing at any step of a ``put_many`` commit is
-    delivered only once the commit is whole: every entry file on disk
-    has its journal ``put`` record and no temp file is left behind."""
+    delivered only once the commit is whole: every value of the commit
+    is readable, the log ends on a complete record, and no temp file is
+    left behind."""
 
-    #: Two entries in each of three shards.
     ENTRIES = [
         (f"{prefix}{i:04d}", {"i": i}, i)
         for prefix in ("ab", "cd", "ef")
         for i in range(2)
     ]
-    STEPS = ("replace", "write", "fsync")
+    #: Every ``os`` call a commit into an existing log makes.
+    STEPS = ("open", "fstat", "stat", "pread", "write", "fsync", "close")
 
     def _commit(self, root, monkeypatch, signo=None, at=None):
-        """Commit ``ENTRIES`` with every cache ``os`` step counted;
-        after the ``at``-th step, send ``signo`` to this process.
-        Returns the number of steps taken."""
+        """Commit ``ENTRIES`` into a log holding one earlier record,
+        with every cache ``os`` step counted; after the ``at``-th step,
+        send ``signo`` to this process.  Returns the number of steps
+        taken."""
+        ResultCache(root).put("s", "seed", {}, -1)
         calls = [0]
 
         def hook(real):
@@ -194,23 +195,78 @@ class TestCommitHoldsSignals:
         self, tmp_path, monkeypatch, signo, handler, expected
     ):
         steps = self._commit(tmp_path / "dry", monkeypatch)
-        assert steps == 12  # 6 entry renames, 3 appends, 3 fsyncs
+        # open, lock check (fstat + stat), tail check (fstat + pread),
+        # one write, one fsync, close
+        assert steps == 8
+        expected_values = {"seed": -1, **{k: v for k, _, v in self.ENTRIES}}
         previous = signal.signal(signo, handler)
         try:
             for at in range(1, steps + 1):
                 root = tmp_path / f"step{at}"
                 with pytest.raises(expected):
                     self._commit(root, monkeypatch, signo, at)
-                entries = {p.stem for p in root.glob("s/*/*.json")}
-                journaled = {
-                    record["key"]
-                    for manifest in root.glob("s/*/MANIFEST.jsonl")
-                    for record in map(json.loads,
-                                      manifest.read_text().splitlines())
-                    if record["op"] == "put"
-                }
-                assert entries <= journaled, f"unjournaled after step {at}"
-                assert entries == {k for k, _, _ in self.ENTRIES}
+                records = _log_records(root, "s")
+                assert len(records) == 7, f"torn log after step {at}"
+                hits = ResultCache(root).get_many("s", expected_values)
+                assert hits == expected_values, f"lost values after step {at}"
                 assert not list(root.rglob("*.tmp"))
         finally:
             signal.signal(signo, previous)
+
+
+#: A pool-owning process with the CLI's kind of SIGTERM handler: it
+#: starts a 2-worker persistent pool 20 times, terminates each one
+#: mid-map and prints every worker pid it saw.  The points return large
+#: values, so a worker that unwinds on SIGTERM instead of dying blocks
+#: flushing its result queue and hangs the pool's join.
+_TERMINATE_SCRIPT = """
+import signal
+from repro.runner.backends import create_backend
+
+class Terminated(BaseException):
+    pass
+
+def on_sigterm(signum, frame):
+    raise Terminated()
+
+signal.signal(signal.SIGTERM, on_sigterm)
+pids = []
+for _ in range(20):
+    backend = create_backend("persistent", 2)
+    results = backend.map(
+        bulky_points.bulky, [{"x": i} for i in range(64)]
+    )
+    next(results)
+    pids.extend(backend.worker_pids())
+    backend.terminate()
+print(" ".join(map(str, pids)))
+"""
+
+
+class TestPoolWorkersDefaultSigterm:
+    def test_terminate_mid_map_under_raising_handler(self, tmp_path):
+        (tmp_path / "bulky_points.py").write_text(
+            "def bulky(params):\n"
+            "    return str(params['x']) * 200_000\n"
+        )
+        env = {
+            **ENV,
+            "PYTHONPATH": os.pathsep.join([ENV["PYTHONPATH"], str(tmp_path)]),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import bulky_points\n" + _TERMINATE_SCRIPT],
+            env=env, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise AssertionError("terminate() hung on a worker")
+        assert proc.returncode == 0, err
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 40
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
