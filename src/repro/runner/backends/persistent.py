@@ -180,6 +180,11 @@ def _worker_main(inq, outq, resolve_probe) -> None:
         if task is None:
             break
         gen, batch_id, token, batch, options = task
+        # ``outq`` is a SimpleQueue: this thread writes the reply itself,
+        # under the queue's cross-process lock, before it takes the next
+        # batch.  A worker that dies inside a point (a crash, a chaos
+        # kill) is therefore never mid-write; with a feeder thread it
+        # could die holding that lock and silence every other worker.
         outq.put((gen, batch_id, _run_batch(token, batch, options)))
 
 
@@ -262,7 +267,7 @@ class PersistentBackend:
 
     def _ensure_workers(self) -> None:
         if self._outq is None:
-            self._outq = self._ctx.Queue()
+            self._outq = self._ctx.SimpleQueue()
         while len(self._workers) < self.jobs:
             self._workers.append(
                 _Worker(self._ctx, self._outq, self._resolve_probe)
@@ -434,14 +439,13 @@ class PersistentBackend:
             fill_workers()
             while next_out < total_batches:
                 while next_out not in done:
-                    try:
-                        rgen, batch_id, results = self._outq.get(
-                            timeout=_POLL_S
-                        )
-                    except queue_mod.Empty:
+                    # SimpleQueue.get has no timeout; poll its reader
+                    # (as concurrent.futures.process does).
+                    if not self._outq._reader.poll(_POLL_S):
                         self._heal(pending, done)
                         fill_workers()
                         continue
+                    rgen, batch_id, results = self._outq.get()
                     if rgen != gen or batch_id in done:
                         continue  # stale generation or post-requeue duplicate
                     done[batch_id] = results
