@@ -180,11 +180,11 @@ def _worker_main(inq, outq, resolve_probe) -> None:
         if task is None:
             break
         gen, batch_id, token, batch, options = task
-        # ``outq`` is a SimpleQueue: this thread writes the reply itself,
-        # under the queue's cross-process lock, before it takes the next
-        # batch.  A worker that dies inside a point (a crash, a chaos
-        # kill) is therefore never mid-write; with a feeder thread it
-        # could die holding that lock and silence every other worker.
+        # ``outq`` is a SimpleQueue, so this thread writes the reply
+        # itself, under the queue's cross-process lock, before it takes
+        # the next batch: a worker that dies inside a point (a crash, a
+        # chaos kill) must never die holding that lock, or every other
+        # worker blocks on it.
         outq.put((gen, batch_id, _run_batch(token, batch, options)))
 
 
